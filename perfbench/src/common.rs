@@ -1,5 +1,5 @@
-//! Shared pieces: the seeded generator, statistics, the metric list and
-//! the result line.
+//! Shared pieces: statistics, the metric lists, repeated set-up and the
+//! result line.
 
 use std::time::{Duration, Instant};
 
@@ -72,45 +72,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("op_ms_p50", "ms"),
     ("tasks_per_s", "1/s"),
 ];
-
-/// SplitMix64: the benchmark's own seeded generator, so inputs depend
-/// on `--seed` and nothing else.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// A generator for `seed` and a stream label (distinct labels give
-    /// independent streams from one seed).
-    pub fn new(seed: u64, stream: u64) -> Rng {
-        let mut r = Rng(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
-        r.next_u64();
-        r
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    /// Exponentially distributed with the given mean.
-    pub fn exp(&mut self, mean: f64) -> f64 {
-        -mean * (1.0 - self.next_f64()).ln()
-    }
-}
 
 /// The `p` quantile (0..=1) of `values`, linearly interpolated between
 /// order statistics. `NaN` for an empty slice.
@@ -185,23 +146,64 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 5;
+/// Set-ups timed before the timed phase, and as many after it.
+pub const SETUPS: usize = 6;
+/// How often a closed-loop workload times one more set-up during its
+/// timed phase.
+pub const SETUP_EVERY: Duration = Duration::from_secs(2);
 
-/// Run `setup` [`SETUPS`] times, keeping the last result, and return it
-/// with the median set-up time in seconds. Earlier results are dropped
-/// (their runtimes shut down) before the next set-up starts.
-pub fn repeated_setup<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
-    let mut secs = Vec::with_capacity(SETUPS);
-    let mut last = None;
-    for _ in 0..SETUPS {
-        drop(last.take());
+/// The set-up times of one run; `setup_s` is their median. The first
+/// two or three set-ups of a process run cold (page faults, a fresh
+/// heap), and the host's speed changes over seconds with other load on
+/// it, so set-ups are timed at many moments of the run: [`SETUPS`]
+/// before the timed phase, one every [`SETUP_EVERY`] during it where the
+/// workload can pause, and [`SETUPS`] after it.
+pub struct Setups {
+    secs: Vec<f64>,
+    last: Instant,
+}
+
+impl Setups {
+    /// Run `setup` [`SETUPS`] times, keeping the last result. Earlier
+    /// results are dropped (their runtimes shut down) before the next
+    /// set-up starts.
+    pub fn first<T>(mut setup: impl FnMut() -> T) -> (T, Setups) {
+        let mut s = Setups {
+            secs: Vec::new(),
+            last: Instant::now(),
+        };
+        let mut last = None;
+        for _ in 0..SETUPS {
+            drop(last.take());
+            last = Some(s.time(&mut setup));
+        }
+        (last.expect("at least one set-up ran"), s)
+    }
+
+    fn time<T>(&mut self, setup: &mut impl FnMut() -> T) -> T {
         let t0 = Instant::now();
         let v = setup();
-        secs.push(t0.elapsed().as_secs_f64());
-        last = Some(v);
+        self.secs.push(t0.elapsed().as_secs_f64());
+        self.last = Instant::now();
+        v
     }
-    (last.expect("at least one set-up ran"), median(&secs))
+
+    /// Time one more set-up, dropping its result, if [`SETUP_EVERY`]
+    /// has passed since the last one ended.
+    pub fn between<T>(&mut self, mut setup: impl FnMut() -> T) {
+        if self.last.elapsed() >= SETUP_EVERY {
+            drop(self.time(&mut setup));
+        }
+    }
+
+    /// Time [`SETUPS`] more set-ups and return the median of all, in
+    /// seconds.
+    pub fn finish<T>(mut self, mut setup: impl FnMut() -> T) -> f64 {
+        for _ in 0..SETUPS {
+            drop(self.time(&mut setup));
+        }
+        median(&self.secs)
+    }
 }
 
 /// Named metric values with units, in insertion order.

@@ -5,7 +5,7 @@
 //! a seed repeat exactly, only the host time varies.
 
 use crate::checks::{self, PaperResult};
-use crate::common::{self, median, Outcome};
+use crate::common::{self, median, Outcome, Setups};
 use crate::spans::Spans;
 use crate::RunConfig;
 use nexuspp::baseline::{simulate_software_rts, SoftwareRtsConfig};
@@ -93,7 +93,7 @@ fn repetition(traces: [&Trace; 2], host: &mut HostTime, spans: &mut Spans, rep: 
 /// Run the workload.
 pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
     // Set-up generates the traces and warms up with one repetition.
-    let ((wave, indep), setup_s) = common::repeated_setup(|| {
+    let setup = || {
         let (wave, indep) = traces(cfg.seed);
         let mut host = HostTime {
             tm_ms: Vec::new(),
@@ -101,7 +101,8 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
         };
         repetition([&wave, &indep], &mut host, &mut Spans::new(false, 0), 0);
         (wave, indep)
-    });
+    };
+    let ((wave, indep), mut setups) = Setups::first(setup);
     let n_sim_tasks = 4.0 * (wave.len() + indep.len()) as f64;
     let mut host = HostTime {
         tm_ms: Vec::new(),
@@ -126,6 +127,9 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
             out.notes.push(format!("repetition {}: {e}", rep_ms.len()));
         }
         first.get_or_insert(m);
+        if !cfg.traced {
+            setups.between(setup);
+        }
     }
     out.correct = out.failed == 0;
     let r = first.expect("at least one repetition ran").result();
@@ -155,7 +159,7 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
         );
         common::push_tails(m, &rep_ms);
     } else {
-        m.push("setup_s", setup_s, "s");
+        m.push("setup_s", setups.finish(setup), "s");
         m.push("op_ms_p50", median(&rep_ms), "ms");
         m.push(
             "tasks_per_s",

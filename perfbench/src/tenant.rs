@@ -7,11 +7,12 @@
 //! ends; a refused task counts as missing every latency limit.
 
 use crate::checks;
-use crate::common::{self, median, quantile, quantile_sorted, Outcome, Rng};
+use crate::common::{self, median, quantile, quantile_sorted, Outcome, Setups};
 use crate::spans::Spans;
 use crate::wavefront::{delta_sched, delta_wake, push_counts};
 use crate::{RunConfig, Size};
 use nexuspp::core::{ShardCapacity, Submission};
+use nexuspp::desim::Rng;
 use nexuspp::service::{
     IngressError, ResolverService, ServiceConfig, ServiceTask, SubmissionHandle,
 };
@@ -162,15 +163,11 @@ fn closed_loop(s: &mut Setup, body_ns: u64, n: usize) -> Duration {
 }
 
 /// Wait until `n` bodies have run or `limit` passes.
-fn wait_for(slots: &Slots, n: u64, limit: Duration) -> bool {
+fn wait_for(slots: &Slots, n: u64, limit: Duration) {
     let t0 = Instant::now();
-    while slots.bodies.load(Ordering::Acquire) < n {
-        if t0.elapsed() > limit {
-            return false;
-        }
+    while slots.bodies.load(Ordering::Acquire) < n && t0.elapsed() <= limit {
         std::thread::sleep(Duration::from_micros(200));
     }
-    true
 }
 
 /// Run the workload.
@@ -182,11 +179,14 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
     // Poisson count.
     let max_tasks = (p.rate_per_s * cfg.measure.as_secs_f64() * 1.2) as usize + 1024;
     let warm = p.spec.task_count() as usize * 4;
-    let (mut s, setup_s) = common::repeated_setup(|| {
+    let setup = || {
         let mut s = start(&p, workers, Slots::new(0, 0));
         closed_loop(&mut s, p.body_ns, warm);
         s
-    });
+    };
+    // Open-loop arrivals cannot pause, so set-ups are timed only before
+    // and after the timed phase.
+    let (mut s, setups) = Setups::first(setup);
     let rt = Arc::clone(s.service.runtime());
     let (sched0, wake0) = (rt.sched_counts(), rt.wake_counts());
     let denied0: u64 = s
@@ -200,7 +200,7 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
     // The open loop. Due times and body stamps are offsets from the
     // timed slots' epoch. Body start times feed only the traced
     // queue-time metrics.
-    let mut rng = Rng::new(cfg.seed, 0x7E4A);
+    let mut rng = Rng::new(cfg.seed ^ 0x7E4A);
     let mean_gap_ns = 1e9 / p.rate_per_s;
     let mut cursor = vec![0usize; s.programs.len()];
     let mut due_ns: Vec<u64> = Vec::with_capacity(max_tasks);
@@ -209,10 +209,9 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
     let mut accept_ns: Vec<u64> = Vec::with_capacity(traced_len);
     let mut late_ns: Vec<f64> = Vec::with_capacity(traced_len);
     let mut submit_ns: Vec<f64> = Vec::with_capacity(traced_len);
-    let mut closed = false;
     let slots = Slots::new(max_tasks, if cfg.traced { max_tasks } else { 0 });
     let epoch = slots.epoch;
-    let mut next_due = rng.exp(mean_gap_ns);
+    let mut next_due = exp_gap(&mut rng, mean_gap_ns);
     while next_due < measure_ns && due_ns.len() < max_tasks {
         let now = epoch.elapsed().as_nanos() as f64;
         if next_due > now {
@@ -224,7 +223,7 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
             continue;
         }
         let k = due_ns.len();
-        let t = rng.below(s.programs.len() as u64) as usize;
+        let t = rng.gen_range(s.programs.len() as u64) as usize;
         let prog = &s.programs[t];
         let mut sub = prog[cursor[t] % prog.len()].clone();
         cursor[t] += 1;
@@ -247,16 +246,16 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
             Err(IngressError::Backpressure(_)) => accepted_flag.push(false),
             Err(IngressError::Closed(_)) => {
                 accepted_flag.push(false);
-                closed = true;
                 break;
             }
         }
-        next_due += rng.exp(mean_gap_ns);
+        next_due += exp_gap(&mut rng, mean_gap_ns);
     }
     let offered = due_ns.len();
     let window_s = epoch.elapsed().as_secs_f64();
     let accepted_timed = accepted_flag.iter().filter(|&&a| a).count() as u64;
-    let all_ran = wait_for(&slots, accepted_timed, Duration::from_secs(30));
+    // A task still not run after this counts as lost.
+    wait_for(&slots, accepted_timed, Duration::from_secs(30));
 
     let retries = capacity_retries(&s.service) - retries0;
     let denied: u64 = s
@@ -315,10 +314,21 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
         body_runs,
         &peaks,
     );
-    out.correct = check.is_ok() && all_ran && !closed && report.graceful;
+    // The accounting check counts as one more operation; it fails too
+    // when the service did not shut down gracefully.
+    out.attempted += 1;
+    let check = check.and_then(|()| {
+        if report.graceful {
+            Ok(())
+        } else {
+            Err("service shutdown was not graceful".to_string())
+        }
+    });
     if let Err(e) = check {
+        out.failed += 1;
         out.notes.push(e);
     }
+    out.correct = out.failed == 0;
     out.notes.push(format!(
         "tenant-stream: {offered} tasks offered at {} /s over {window_s:.2} s, {missing} refused or lost; \
          {} tenants, budget {}, {} workers + 1 client thread",
@@ -362,11 +372,16 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
         );
         common::push_tails(m, &lat_ms);
     } else {
-        m.push("setup_s", setup_s, "s");
+        m.push("setup_s", setups.finish(setup), "s");
         m.push("op_ms_p50", quantile_sorted(&lat_ms, 0.5), "ms");
         m.push("tasks_per_s", completed as f64 / window_s, "1/s");
     }
     out
+}
+
+/// An exponentially distributed gap with the given mean.
+fn exp_gap(rng: &mut Rng, mean: f64) -> f64 {
+    -mean * (1.0 - rng.gen_f64()).ln()
 }
 
 /// Capacity rejections absorbed by the ingress retry slots, summed over

@@ -8,7 +8,7 @@
 //! layer's number is what its stage adds over the one before.
 
 use crate::checks;
-use crate::common::{self, median, Metrics, Outcome};
+use crate::common::{self, median, Metrics, Outcome, Setups};
 use crate::spans::{SpanId, Spans};
 use crate::{RunConfig, Size};
 use nexuspp::baseline::SoftwareRtsConfig;
@@ -355,7 +355,7 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
     if cfg.traced {
         return run_traced(cfg, spans);
     }
-    let (s, setup_s) = common::repeated_setup(|| setup(cfg));
+    let (s, mut setups) = Setups::first(|| setup(cfg));
     let n = s.input.len() as f64;
     let mut out = Outcome::default();
     let mut makespans = Vec::new();
@@ -368,7 +368,10 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Outcome {
             out.notes.push(format!("repetition {}: {e}", out.attempted));
         }
         makespans.push(common::ms(t.total));
+        setups.between(|| setup(cfg));
     }
+    drop(s);
+    let setup_s = setups.finish(|| setup(cfg));
     let timed_s: f64 = makespans.iter().sum::<f64>() / 1e3;
     out.correct = out.failed == 0;
     out.notes.push(format!(

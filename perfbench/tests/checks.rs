@@ -63,6 +63,36 @@ fn every_workload_passes_its_checks_traced() {
     }
 }
 
+/// `(name, unit)` of every metric BENCHMARK.json lists under `key`, in
+/// order.
+fn listed(key: &str) -> Vec<(String, String)> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+    let text = std::fs::read_to_string(path).unwrap();
+    let section = text.split(&format!("\"{key}\"")).nth(1).unwrap();
+    let section = &section[..section.find(']').unwrap()];
+    let field = |obj: &str, f: &str| {
+        let rest = obj.split(&format!("\"{f}\": \"")).nth(1).unwrap();
+        rest[..rest.find('"').unwrap()].to_string()
+    };
+    section
+        .split('}')
+        .filter(|obj| obj.contains("\"name\""))
+        .map(|obj| (field(obj, "name"), field(obj, "unit")))
+        .collect()
+}
+
+fn owned(list: &[(&str, &str)]) -> Vec<(String, String)> {
+    list.iter()
+        .map(|(n, u)| (n.to_string(), u.to_string()))
+        .collect()
+}
+
+#[test]
+fn benchmark_json_lists_the_printed_metrics() {
+    assert_eq!(listed("end_to_end"), owned(END_TO_END));
+    assert_eq!(listed("per_layer"), owned(PER_LAYER));
+}
+
 #[test]
 fn unknown_workload_is_an_error() {
     let mut spans = Spans::new(false, 0);
