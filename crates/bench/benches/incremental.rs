@@ -13,6 +13,10 @@
 //! * `edit10` — ten spread-out edits: overlapping cones cover most of
 //!   the stencil, the regime where incrementality approaches (but never
 //!   exceeds) from-scratch cost.
+//! * `retarget1` — one structural edit: an interior task alternately
+//!   drops and restores its left-neighbour read. The commit re-binds
+//!   that one declaration and its edge delta; the re-run covers the
+//!   task's light-cone.
 //!
 //! The ≥ 2× one-edit win is asserted in release CI by
 //! `crates/workloads/tests/incr_speedup.rs`; the numbers here are the
@@ -21,7 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nexuspp_frontend::Lowering;
-use nexuspp_incr::Backend;
+use nexuspp_incr::{Access, Backend, Edit};
 use nexuspp_workloads::IncrStencilSpec;
 
 const BACKEND: Backend = Backend::Engine { shards: 4 };
@@ -56,6 +60,29 @@ fn bench_rerun(c: &mut Criterion) {
             });
         });
     }
+
+    let mut ip = spec.build();
+    ip.rerun(Lowering::Renamed, &BACKEND);
+    let (i, t) = (spec.cells / 2, spec.steps / 2);
+    let mut drop_left = false;
+    g.bench_function("retarget1", |b| {
+        b.iter(|| {
+            drop_left = !drop_left;
+            let mut accesses = Vec::with_capacity(4);
+            if !drop_left {
+                accesses.push(Access::ReadVersion(spec.cell(i - 1), t - 1));
+            }
+            accesses.push(Access::ReadVersion(spec.cell(i), t - 1));
+            accesses.push(Access::ReadVersion(spec.cell(i + 1), t - 1));
+            accesses.push(Access::Write(spec.cell(i)));
+            ip.edit(Edit::Retarget {
+                key: spec.key(i, t),
+                accesses,
+            })
+            .unwrap();
+            ip.rerun(Lowering::Renamed, &BACKEND).reran
+        });
+    });
     g.finish();
 }
 

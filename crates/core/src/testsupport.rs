@@ -1,4 +1,5 @@
-//! Shared test-support helpers: watchdogs and deadline polling.
+//! Shared test-support helpers: watchdogs, deadline polling, and the
+//! timing lock.
 //!
 //! Several integration suites exercise code that *parks threads* —
 //! bounded-capacity submitters, `wait_on` waiters, service drains — so a
@@ -10,7 +11,24 @@
 //! it has no place in production code paths.
 
 use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Serialize wall-clock timing gates within one test binary.
+///
+/// The test harness runs a binary's tests on parallel threads, so two
+/// gates that each time a multi-threaded workload would otherwise time
+/// each other: on a 2-CPU host the second gate's workers steal the
+/// first gate's cores mid-measurement. Every test that asserts a
+/// wall-clock bound holds the returned guard for its whole body.
+/// Gates in different binaries already run one binary at a time.
+///
+/// A gate that fails panics while holding the guard; the lock shrugs
+/// off that poisoning so the remaining gates still run and report.
+pub fn timing_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Run `f` on its own thread and fail loudly if it does not complete in
 /// `secs` — a parked submitter (or waiter, or drain) that never resumes
@@ -113,6 +131,16 @@ mod tests {
             flag.load(Ordering::Acquire)
         });
         setter.join().unwrap();
+    }
+
+    #[test]
+    fn timing_lock_survives_a_panicking_holder() {
+        let held = std::thread::spawn(|| {
+            let _guard = timing_lock();
+            panic!("a failing gate");
+        });
+        assert!(held.join().is_err());
+        drop(timing_lock());
     }
 
     #[test]

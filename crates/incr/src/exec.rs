@@ -35,7 +35,7 @@
 //! The validation walk itself holds **no shard locks**: it runs
 //! entirely on the caller's thread before anything is submitted.
 
-use crate::program::IncrementalProgram;
+use crate::program::{IncrementalProgram, RESOURCE_SIZE};
 use crate::store::{self, TaskRecord};
 use nexuspp_core::{Priority, Submission, TaskBuilder};
 use nexuspp_frontend::exec::{run_on_dispatcher, run_on_engine};
@@ -98,6 +98,11 @@ pub struct IncrReport {
     /// the edits since the previous report — the online-ordering cost
     /// of this round of edits.
     pub order_maintenance_ops: u64,
+    /// Declarations re-bound by the edits committed since the previous
+    /// report — the binding cost of this round of edits. A structural
+    /// edit re-binds the edited tasks and the later tasks on resources
+    /// whose writer set it changed; a `SetInitial` re-binds none.
+    pub rebind_ops: u64,
     /// Keys of the re-executed tasks, sorted.
     pub reran_keys: Vec<u64>,
     /// Backend execution order of the re-executed tasks (tags, in the
@@ -218,6 +223,7 @@ impl IncrementalProgram {
             reran: plans.len(),
             reused: total - plans.len(),
             order_maintenance_ops: ops_total - self.ops_reported,
+            rebind_ops: std::mem::take(&mut self.rebinds),
             reran_keys: {
                 let mut v = reran_keys;
                 v.sort_unstable();
@@ -245,7 +251,8 @@ impl IncrementalProgram {
 
     /// Build the partial lowered stream for the invalidated tasks: one
     /// submission per plan under the frontend's public address mapping,
-    /// plus the true edges *among* reran tasks (for order checking).
+    /// plus the true edges *among* reran tasks (for order checking),
+    /// read off the reran tasks' own adjacency.
     fn partial_stream(
         &self,
         plans: &[Plan],
@@ -257,19 +264,22 @@ impl IncrementalProgram {
             .map(|p| {
                 let mut b = TaskBuilder::new(p.fptr).tag(p.key).priority(p.priority);
                 for &(r, v) in &p.reads {
-                    b = b.reads(lowering.address(r, v), self.program.resource_size(r));
+                    b = b.reads(lowering.address(r, v), RESOURCE_SIZE);
                 }
                 for &(r, v) in &p.writes {
-                    b = b.writes(lowering.address(r, v), self.program.resource_size(r));
+                    b = b.writes(lowering.address(r, v), RESOURCE_SIZE);
                 }
                 b.build()
             })
             .collect();
-        let edges: Vec<(u64, u64)> = self
-            .edges
+        let edges: Vec<(u64, u64)> = reran
             .iter()
-            .copied()
-            .filter(|(f, t)| reran.contains(f) && reran.contains(t))
+            .flat_map(|&f| {
+                self.topo
+                    .successors(f)
+                    .filter(|t| reran.contains(t))
+                    .map(move |t| (f, t))
+            })
             .collect();
         LoweredProgram {
             lowering,

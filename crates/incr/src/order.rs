@@ -237,6 +237,18 @@ impl<K: Copy + Ord + Hash + fmt::Debug> DynamicTopo<K> {
         }
     }
 
+    /// Direct successors of `k` (targets of its outgoing edges), in key
+    /// order; empty if `k` is absent.
+    pub(crate) fn successors(&self, k: K) -> impl Iterator<Item = K> + '_ {
+        self.out.get(&k).into_iter().flatten().copied()
+    }
+
+    /// Direct predecessors of `k` (sources of its incoming edges), in
+    /// key order; empty if `k` is absent.
+    pub(crate) fn predecessors(&self, k: K) -> impl Iterator<Item = K> + '_ {
+        self.inn.get(&k).into_iter().flatten().copied()
+    }
+
     /// Does the order contain `k`?
     pub fn contains(&self, k: K) -> bool {
         self.ord.contains_key(&k)

@@ -14,11 +14,13 @@
 //! machines. Both sides take the best of three runs to shed scheduler
 //! warm-up and OS noise.
 
+use nexuspp_core::testsupport::timing_lock;
 use nexuspp_sched::stress::{best_of, ChainStressSpec};
 use nexuspp_sched::SchedulerKind;
 
 #[test]
 fn work_stealing_beats_mutex_queue_by_1_5x_at_4_workers() {
+    let _timing = timing_lock();
     let spec = ChainStressSpec {
         workers: 4,
         chains: 8,

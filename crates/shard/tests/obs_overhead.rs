@@ -17,7 +17,13 @@
 //!    introspection relative to post-mortem recording. Measured with
 //!    nonzero per-finish spin so the workload models real task bodies
 //!    rather than a pure counter race.
+//!
+//! All three hold [`timing_lock`]: the harness runs them on parallel
+//! threads, and each drives four finisher threads, so without the lock
+//! the timed gates would measure each other's load rather than the
+//! recorder.
 
+use nexuspp_core::testsupport::timing_lock;
 use nexuspp_obs::{Collector, CollectorConfig, Recorder};
 use nexuspp_shard::stress::{run_wake_stress_with, WakeStressSpec};
 use nexuspp_shard::WakeMode;
@@ -44,6 +50,7 @@ fn timed(mode: WakeMode, rec: Option<Arc<Recorder>>) -> Duration {
 
 #[test]
 fn disabled_recorder_overhead_within_five_percent() {
+    let _timing = timing_lock();
     let spec_check = spec();
     assert_eq!(spec_check.finishers, 4, "the gate is defined at 4 workers");
     // Warm-up: fault in both code paths before timing anything.
@@ -71,6 +78,7 @@ fn disabled_recorder_overhead_within_five_percent() {
 
 #[test]
 fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
+    let _timing = timing_lock();
     // Real task bodies: each finish spins for 25 µs, so the run is
     // dominated by work the collector cannot perturb and the bound
     // measures streaming overhead, not scheduler jitter amplified
@@ -142,6 +150,8 @@ fn live_collector_overhead_within_ten_percent_of_quiescent_recording() {
 
 #[test]
 fn enabled_recording_keeps_wake_path_lock_free() {
+    // Not timed itself, but its load would land inside the other two.
+    let _timing = timing_lock();
     // Oversized rings: the submitting thread alone emits ~3 events per
     // task into one lane, and the gate below requires zero drops.
     let rec = Arc::new(Recorder::with_capacity(8, 1 << 17));

@@ -21,11 +21,13 @@
 //! counter instruments the delivery step itself, so a future regression
 //! that sneaks a lock back into the wake path fails loudly here.
 
+use nexuspp_core::testsupport::timing_lock;
 use nexuspp_shard::stress::{best_of, WakeStressSpec};
 use nexuspp_shard::WakeMode;
 
 #[test]
 fn lock_free_wake_delivery_beats_locked_kickoff_by_1_3x_at_4_workers() {
+    let _timing = timing_lock();
     let spec = WakeStressSpec {
         finishers: 4,
         producers: 256,

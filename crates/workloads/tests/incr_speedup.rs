@@ -4,6 +4,7 @@
 //! at least 2× (measured assertion, release builds only — debug-build
 //! timing is noise).
 
+use nexuspp_core::testsupport::timing_lock;
 use nexuspp_frontend::Lowering;
 use nexuspp_incr::Backend;
 use nexuspp_workloads::IncrStencilSpec;
@@ -46,6 +47,7 @@ fn measure(spec: &IncrStencilSpec, rounds: u64) -> (Duration, Duration) {
 
 #[test]
 fn one_edit_rerun_beats_from_scratch() {
+    let _timing = timing_lock();
     let spec = IncrStencilSpec::thousand();
     assert_eq!(spec.task_count(), 1000);
     // The structural win is ~10×: the cone of one cell is at most
