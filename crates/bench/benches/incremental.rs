@@ -17,6 +17,11 @@
 //!   drops and restores its left-neighbour read. The commit re-binds
 //!   that one declaration and its edge delta; the re-run covers the
 //!   task's light-cone.
+//! * `edit1_runtime` — `edit1` on the threaded runtime backend
+//!   (`Backend::Runtime`), the path live editors use: task bodies
+//!   compute contents on worker threads, and the program keeps one
+//!   runtime across every re-run, so the row times validation, spawn
+//!   and execution, not runtime start-up.
 //!
 //! The ≥ 2× one-edit win is asserted in release CI by
 //! `crates/workloads/tests/incr_speedup.rs`; the numbers here are the
@@ -29,6 +34,10 @@ use nexuspp_incr::{Access, Backend, Edit};
 use nexuspp_workloads::IncrStencilSpec;
 
 const BACKEND: Backend = Backend::Engine { shards: 4 };
+const RUNTIME: Backend = Backend::Runtime {
+    workers: 2,
+    shards: 4,
+};
 
 fn bench_rerun(c: &mut Criterion) {
     let spec = IncrStencilSpec::thousand();
@@ -81,6 +90,17 @@ fn bench_rerun(c: &mut Criterion) {
             })
             .unwrap();
             ip.rerun(Lowering::Renamed, &BACKEND).reran
+        });
+    });
+
+    let mut round = 0u64;
+    let mut ip = spec.build();
+    ip.rerun(Lowering::Renamed, &RUNTIME);
+    g.bench_function("edit1_runtime", |b| {
+        b.iter(|| {
+            round += 1;
+            ip.edit_batch(spec.touch_edits(1, round)).unwrap();
+            ip.rerun(Lowering::Renamed, &RUNTIME).reran
         });
     });
     g.finish();

@@ -1974,6 +1974,45 @@ pub fn incr(opts: &ExpOptions) -> Experiment {
         ));
     }
 
+    // Warm runtime: edits re-run on the threaded runtime keep one
+    // runtime per backend shape. Two shapes, a few rounds each, must
+    // start exactly two runtimes (the deterministic count of the start-
+    // ups saved; the wall clock is the benchmark's job).
+    let runtime_shapes = [
+        Backend::Runtime {
+            workers: 2,
+            shards: 4,
+        },
+        Backend::Runtime {
+            workers: 1,
+            shards: 2,
+        },
+    ];
+    let runtime_rounds = 3u64;
+    let mut warm = TextTable::new(vec!["backend", "re-runs", "reran", "runtime starts"]);
+    for (i, rb) in runtime_shapes.iter().enumerate() {
+        let before = reg.snapshot().get("incr", "runtime_starts").unwrap_or(0);
+        let mut reran = 0;
+        for round in 0..runtime_rounds {
+            ip.edit_batch(spec.touch_edits(1, 200 + i as u64 * runtime_rounds + round))
+                .expect("stencil edits stay acyclic");
+            reran += ip.rerun(lowering, rb).reran;
+        }
+        let starts = reg.snapshot().get("incr", "runtime_starts").unwrap_or(0) - before;
+        if starts != 1 {
+            notes.push(format!(
+                "REGRESSION: {} started {starts} runtimes over {runtime_rounds} re-runs, expected 1",
+                rb.name()
+            ));
+        }
+        warm.row(vec![
+            rb.name(),
+            runtime_rounds.to_string(),
+            reran.to_string(),
+            starts.to_string(),
+        ]);
+    }
+
     // The cumulative reuse funnel, read back through the *registry*
     // (not the reports): this is the path an operator dashboard uses.
     let snap = reg.snapshot();
@@ -1993,10 +2032,18 @@ pub fn incr(opts: &ExpOptions) -> Experiment {
             get("total")
         ));
     }
-    if get("runs") != 5 {
+    let expected_runs = 5 + runtime_shapes.len() as u64 * runtime_rounds;
+    if get("runs") != expected_runs {
         notes.push(format!(
-            "REGRESSION: registry saw {} runs, expected 5",
+            "REGRESSION: registry saw {} runs, expected {expected_runs}",
             get("runs")
+        ));
+    }
+    if get("runtime_starts") != runtime_shapes.len() as u64 {
+        notes.push(format!(
+            "REGRESSION: registry saw {} runtime starts, expected one per backend shape ({})",
+            get("runtime_starts"),
+            runtime_shapes.len()
         ));
     }
 
@@ -2056,6 +2103,7 @@ pub fn incr(opts: &ExpOptions) -> Experiment {
                 funnel,
             ),
             ("Measured from-scratch vs 1-edit wall clock".into(), speed),
+            ("Warm runtime: one start per backend shape".into(), warm),
         ],
         notes,
     }
@@ -2204,10 +2252,12 @@ mod tests {
             "incremental re-execution invariants broke: {:?}",
             e.notes
         );
-        // Dirty-cone scenarios; funnel counters; speedup rows.
+        // Dirty-cone scenarios; funnel counters; speedup rows; warm
+        // runtime shapes.
         assert_eq!(e.tables[0].1.len(), 5);
-        assert_eq!(e.tables[1].1.len(), 6);
+        assert_eq!(e.tables[1].1.len(), 7);
         assert_eq!(e.tables[2].1.len(), 2);
+        assert_eq!(e.tables[3].1.len(), 2);
     }
 
     #[test]

@@ -23,26 +23,51 @@
 //! *backwards* (earlier submissions), i.e. a superset of the true edges
 //! — acyclic and semantically safe, exactly as in full-program lowering.
 //!
+//! # What a re-run pays per task
+//!
+//! Like a Nexus++ Task Maestro, which stays resident and pays a small
+//! table cost per task, a re-run pays only for the tasks it validates
+//! and re-executes:
+//!
+//! * the cone walk looks each member's order index up once and sorts
+//!   `(order, key)` pairs;
+//! * validation borrows the resolved declaration, hashes contents with
+//!   each resource's cached name hash, and keys every map by task or
+//!   `(resource, version)` through a fixed integer hasher;
+//! * the [`Backend::Runtime`] path reuses one long-lived threaded
+//!   runtime per program (next section).
+//!
 //! # The live splice proof
 //!
 //! The [`Backend::Runtime`] path does not just schedule dummy bodies:
-//! every resubmitted task's closure *computes its outputs* from a
-//! shared content map seeded with the spliced memoized inputs, on the
+//! every resubmitted task's closure *computes its outputs* on the
 //! runtime's worker threads, ordered only by the engines' dependency
-//! tracking. After the barrier, the concurrently computed contents must
-//! equal the memoized plan — a live end-to-end check that splicing
-//! cached outputs under partial resubmission preserves the dataflow.
-//! The validation walk itself holds **no shard locks**: it runs
-//! entirely on the caller's thread before anything is submitted.
+//! tracking. Each invalidated write owns one output slot, indexed by
+//! its position in the plan; a body reads its inputs — memoized
+//! contents resolved while planning, or the slots of predecessors in
+//! the same re-run — and writes its own slots. After the barrier, the
+//! concurrently computed slots must equal the memoized plan — a live
+//! end-to-end check that splicing cached outputs under partial
+//! resubmission preserves the dataflow. The validation walk itself
+//! holds **no shard locks**: it runs entirely on the caller's thread
+//! before anything is submitted.
+//!
+//! The runtime is the program's own: started by the first
+//! [`Backend::Runtime`] re-run, kept for every later one with the same
+//! `(workers, shards)`, replaced only when that shape changes, and
+//! joined when the program drops. Reusing it is safe because each
+//! re-run ends at a barrier, where the runtime is quiescent and no task
+//! is resident on any shard — so the (resource, version) addresses a
+//! later re-run submits again meet empty dependence tables.
 
 use crate::program::{IncrementalProgram, RESOURCE_SIZE};
-use crate::store::{self, TaskRecord};
-use nexuspp_core::{Priority, Submission, TaskBuilder};
+use crate::store::{self, IntMap, IntSet};
+use nexuspp_core::{Submission, TaskBuilder};
 use nexuspp_frontend::exec::{run_on_dispatcher, run_on_engine};
 use nexuspp_frontend::{LoweredProgram, Lowering, ResourceId, Version};
 use nexuspp_runtime::ShardedRuntime;
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Which execution backend a re-run resubmits invalidated tasks to.
@@ -61,7 +86,8 @@ pub enum Backend {
         workers: usize,
     },
     /// The full threaded runtime; task bodies compute contents live
-    /// (see the [module docs](self)).
+    /// (see the [module docs](self)). The program keeps the runtime
+    /// across re-runs while `workers` and `shards` stay the same.
     Runtime {
         /// Number of worker threads.
         workers: usize,
@@ -110,17 +136,94 @@ pub struct IncrReport {
     pub executed: Vec<u64>,
 }
 
-/// One invalidated task, fully planned (inputs resolved, outputs
-/// recomputed) before anything touches a backend.
-struct Plan {
+/// The threaded runtime a program keeps between
+/// [`Backend::Runtime`] re-runs, with the shape it was started with.
+pub(crate) struct WarmRuntime {
+    workers: usize,
+    shards: usize,
+    rt: ShardedRuntime,
+}
+
+/// Where a live body finds one input.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    /// Spliced: a memoized (or initial) content, resolved while
+    /// planning.
+    Known(u64),
+    /// Written by an earlier task of the same re-run, into this output
+    /// slot.
+    Slot(u32),
+}
+
+/// One output slot: a content some invalidated task writes live.
+#[derive(Debug, Default)]
+struct Slot {
+    content: AtomicU64,
+    written: AtomicBool,
+}
+
+/// One invalidated task, as its live body sees it.
+#[derive(Debug)]
+struct LiveTask {
     key: u64,
     fptr: u64,
-    priority: Priority,
-    /// Resolved reads, self-reads of the task's own mints excluded
-    /// (their content is the task's own output — circular, and never
-    /// an edge in the frontend either).
-    reads: Vec<(ResourceId, Version)>,
-    writes: Vec<(ResourceId, Version)>,
+    /// Its inputs, in declaration order: a range of [`Splice::inputs`].
+    inputs: Range<usize>,
+    /// Its output slots, one per written resource in declaration order.
+    outputs: Range<usize>,
+}
+
+/// The invalidated tasks of one re-run, fully planned (inputs
+/// resolved, outputs recomputed and memoized) before anything touches a
+/// backend, in the flat form the live bodies share.
+#[derive(Debug, Default)]
+struct Splice {
+    /// In maintained topological order; the index is the plan position.
+    tasks: Vec<LiveTask>,
+    inputs: Vec<Input>,
+    /// Per output slot: the `(resource, version)` written and the
+    /// resource's name hash.
+    writes: Vec<(ResourceId, Version, u64)>,
+    slots: Vec<Slot>,
+    /// Keys in the order their bodies ran (the first `logged` entries).
+    log: Vec<AtomicU64>,
+    logged: AtomicUsize,
+}
+
+impl Splice {
+    /// The body of plan position `i`: read the inputs, write the output
+    /// slots, log the key.
+    fn execute(&self, i: usize) {
+        let t = &self.tasks[i];
+        let inputs = &self.inputs[t.inputs.clone()];
+        let content = |input: &Input| match *input {
+            Input::Known(c) => c,
+            Input::Slot(s) => {
+                let slot = &self.slots[s as usize];
+                assert!(
+                    slot.written.load(Ordering::Acquire),
+                    "input available: spliced or produced by a predecessor"
+                );
+                slot.content.load(Ordering::Relaxed)
+            }
+        };
+        for s in t.outputs.clone() {
+            let out =
+                store::task_output_hashed(t.fptr, self.writes[s].2, inputs.iter().map(content));
+            self.slots[s].content.store(out, Ordering::Relaxed);
+            self.slots[s].written.store(true, Ordering::Release);
+        }
+        let at = self.logged.fetch_add(1, Ordering::AcqRel);
+        self.log[at].store(t.key, Ordering::Release);
+    }
+
+    /// The execution log, after the barrier.
+    fn executed(&self) -> Vec<u64> {
+        self.log[..self.logged.load(Ordering::Acquire)]
+            .iter()
+            .map(|k| k.load(Ordering::Acquire))
+            .collect()
+    }
 }
 
 impl IncrementalProgram {
@@ -136,79 +239,117 @@ impl IncrementalProgram {
     /// the caller's thread, under `&mut self` — the single-writer rule.
     pub fn rerun(&mut self, lowering: Lowering, backend: &Backend) -> IncrReport {
         let total = self.len();
-        let mut cone = self.dirty_cone();
+        let cone = self.cone_in_order();
         let dirtied = cone.len();
-        cone.sort_by_key(|&k| self.topo().ord(k).expect("cone keys are declared tasks"));
 
         // Phase 1 (caller thread, no locks): validate the cone in
-        // dependency order, recompute what changed, refresh memos.
-        let mut plans: Vec<Plan> = Vec::new();
-        for &key in &cone {
-            let d = self.resolved[&key].clone();
-            let reads: Vec<(ResourceId, Version)> = d
-                .reads
-                .iter()
-                .copied()
-                .filter(|rv| self.producers.get(rv) != Some(&key))
-                .collect();
-            let inputs: Vec<u64> = reads.iter().map(|&(r, v)| self.content_of(r, v)).collect();
-            let read_pairs: Vec<(u64, u64)> = reads
-                .iter()
-                .zip(&inputs)
-                .map(|(&(r, _), &c)| (self.name_hashes[r.0 as usize], c))
-                .collect();
-            let write_hashes: Vec<u64> = d
-                .writes
-                .iter()
-                .map(|&(r, _)| self.name_hashes[r.0 as usize])
-                .collect();
+        // dependency order, recompute what changed, refresh memos, and
+        // plan the live run.
+        let mut splice = Splice::default();
+        let mut subs: Vec<Submission> = Vec::new();
+        // (resource, version) → output slot, for versions this re-run
+        // recomputes.
+        let mut slot_of: IntMap<(ResourceId, Version), u32> = IntMap::default();
+        // Per-task scratch, reused across the cone.
+        let mut reads: Vec<(ResourceId, Version)> = Vec::new();
+        let mut read_pairs: Vec<(u64, u64)> = Vec::new();
+        let mut inputs: Vec<Input> = Vec::new();
+        let mut write_hashes: Vec<u64> = Vec::new();
+        for &(_, key) in &cone {
+            let d = &self.resolved[&key];
+            reads.clear();
+            read_pairs.clear();
+            inputs.clear();
+            for &(r, v) in &d.reads {
+                let content = if v == 0 {
+                    self.initial_content(r)
+                } else {
+                    let p = self.producers[&(r, v)];
+                    if p == key {
+                        // A self-read of the task's own mint: its content
+                        // is the task's own output — circular, and never
+                        // an edge in the frontend either.
+                        continue;
+                    }
+                    self.memo_output(p, r)
+                };
+                reads.push((r, v));
+                read_pairs.push((self.name_hashes[r.0 as usize], content));
+                inputs.push(
+                    slot_of
+                        .get(&(r, v))
+                        .map_or(Input::Known(content), |&s| Input::Slot(s)),
+                );
+            }
+            write_hashes.clear();
+            write_hashes.extend(
+                d.writes
+                    .iter()
+                    .map(|&(r, _)| self.name_hashes[r.0 as usize]),
+            );
             let fp = store::fingerprint(d.fptr, d.priority, &read_pairs, &write_hashes);
             if self.store.record(key).map(|rec| rec.fingerprint) == Some(fp) {
                 continue; // early cutoff: the memo stands
             }
-            let outputs: Vec<(ResourceId, u64)> = d
-                .writes
-                .iter()
-                .map(|&(r, _)| {
-                    let name = self.resource_name(r);
-                    (r, store::task_output(d.fptr, name, &inputs))
-                })
-                .collect();
-            self.store.put(
+            let contents = || read_pairs.iter().map(|&(_, c)| c);
+            self.store.refresh(
                 key,
-                TaskRecord {
-                    fingerprint: fp,
-                    outputs,
-                },
+                fp,
+                d.writes
+                    .iter()
+                    .zip(&write_hashes)
+                    .map(|(&(r, _), &h)| (r, store::task_output_hashed(d.fptr, h, contents()))),
             );
-            plans.push(Plan {
+
+            let mut b = TaskBuilder::new(d.fptr).tag(key).priority(d.priority);
+            for &(r, v) in &reads {
+                b = b.reads(lowering.address(r, v), RESOURCE_SIZE);
+            }
+            for &(r, v) in &d.writes {
+                b = b.writes(lowering.address(r, v), RESOURCE_SIZE);
+            }
+            subs.push(b.build());
+            let first = splice.writes.len();
+            for (&(r, v), &h) in d.writes.iter().zip(&write_hashes) {
+                slot_of.insert((r, v), splice.writes.len() as u32);
+                splice.writes.push((r, v, h));
+            }
+            let at = splice.inputs.len();
+            splice.inputs.extend_from_slice(&inputs);
+            splice.tasks.push(LiveTask {
                 key,
                 fptr: d.fptr,
-                priority: d.priority,
-                reads,
-                writes: d.writes.clone(),
+                inputs: at..splice.inputs.len(),
+                outputs: first..splice.writes.len(),
             });
         }
 
         // Phase 2: resubmit the invalidated tasks as a partial lowered
         // stream (already in maintained topological order).
-        let reran_keys: Vec<u64> = plans.iter().map(|p| p.key).collect();
-        let reran_set: BTreeSet<u64> = reran_keys.iter().copied().collect();
-        let executed = if plans.is_empty() {
+        let mut reran_keys: Vec<u64> = splice.tasks.iter().map(|t| t.key).collect();
+        reran_keys.sort_unstable();
+        let reran = splice.tasks.len();
+        let executed = if subs.is_empty() {
             Vec::new()
         } else {
-            let partial = self.partial_stream(&plans, lowering, &reran_set);
+            let mut partial = LoweredProgram {
+                lowering,
+                edges: self.partial_edges(&splice),
+                tasks: subs,
+            };
             let executed = match *backend {
                 Backend::Engine { shards } => run_on_engine(&partial, shards),
                 Backend::Dispatcher { shards, workers } => {
                     run_on_dispatcher(&partial, shards, workers)
                 }
                 Backend::Runtime { workers, shards } => {
-                    self.run_spliced_on_runtime(&plans, &partial, workers, shards)
+                    let subs = std::mem::take(&mut partial.tasks);
+                    self.run_spliced_on_runtime(splice, subs, workers, shards)
                 }
             };
-            let got: BTreeSet<u64> = executed.iter().copied().collect();
-            assert_eq!(got, reran_set, "backend ran exactly the invalidated tasks");
+            let mut got = executed.clone();
+            got.sort_unstable();
+            assert_eq!(got, reran_keys, "backend ran exactly the invalidated tasks");
             assert!(
                 partial.order_respects_edges(&executed),
                 "partial resubmission respected every true edge among reran tasks"
@@ -220,143 +361,105 @@ impl IncrementalProgram {
         let report = IncrReport {
             total,
             dirtied,
-            reran: plans.len(),
-            reused: total - plans.len(),
+            reran,
+            reused: total - reran,
             order_maintenance_ops: ops_total - self.ops_reported,
             rebind_ops: std::mem::take(&mut self.rebinds),
-            reran_keys: {
-                let mut v = reran_keys;
-                v.sort_unstable();
-                v
-            },
+            reran_keys,
             executed,
         };
         self.ops_reported = ops_total;
         self.touched.clear();
-        if let Some(g) = &self.metrics {
-            let bump = |name: &str, v: u64| {
-                if let Some(c) = g.counter(name) {
-                    c.add(v);
-                }
-            };
-            bump("runs", 1);
-            bump("total", report.total as u64);
-            bump("dirtied", report.dirtied as u64);
-            bump("reran", report.reran as u64);
-            bump("reused", report.reused as u64);
-            bump("order_ops", report.order_maintenance_ops);
-        }
+        self.bump("runs", 1);
+        self.bump("total", report.total as u64);
+        self.bump("dirtied", report.dirtied as u64);
+        self.bump("reran", report.reran as u64);
+        self.bump("reused", report.reused as u64);
+        self.bump("order_ops", report.order_maintenance_ops);
         report
     }
 
-    /// Build the partial lowered stream for the invalidated tasks: one
-    /// submission per plan under the frontend's public address mapping,
-    /// plus the true edges *among* reran tasks (for order checking),
-    /// read off the reran tasks' own adjacency.
-    fn partial_stream(
-        &self,
-        plans: &[Plan],
-        lowering: Lowering,
-        reran: &BTreeSet<u64>,
-    ) -> LoweredProgram {
-        let tasks: Vec<Submission> = plans
-            .iter()
-            .map(|p| {
-                let mut b = TaskBuilder::new(p.fptr).tag(p.key).priority(p.priority);
-                for &(r, v) in &p.reads {
-                    b = b.reads(lowering.address(r, v), RESOURCE_SIZE);
-                }
-                for &(r, v) in &p.writes {
-                    b = b.writes(lowering.address(r, v), RESOURCE_SIZE);
-                }
-                b.build()
-            })
-            .collect();
-        let edges: Vec<(u64, u64)> = reran
-            .iter()
-            .flat_map(|&f| {
-                self.topo
-                    .successors(f)
-                    .filter(|t| reran.contains(t))
-                    .map(move |t| (f, t))
-            })
-            .collect();
-        LoweredProgram {
-            lowering,
-            tasks,
-            edges,
+    /// Add `v` to the live counter `name`, if counters are attached.
+    fn bump(&self, name: &str, v: u64) {
+        if let Some(c) = self.metrics.as_ref().and_then(|g| g.counter(name)) {
+            c.add(v);
         }
     }
 
+    /// The true edges *among* the re-executed tasks (for order
+    /// checking), read off their own adjacency.
+    fn partial_edges(&self, splice: &Splice) -> Vec<(u64, u64)> {
+        let reran: IntSet<u64> = splice.tasks.iter().map(|t| t.key).collect();
+        splice
+            .tasks
+            .iter()
+            .flat_map(|t| {
+                self.topo
+                    .successors(t.key)
+                    .filter(|s| reran.contains(s))
+                    .map(move |s| (t.key, s))
+            })
+            .collect()
+    }
+
+    /// The program's runtime for `(workers, shards)`: the one it kept
+    /// if the shape matches, else a fresh one (the old one joined
+    /// first), counted in `runtime_starts`.
+    fn warm_runtime(&mut self, workers: usize, shards: usize) -> &ShardedRuntime {
+        let fits = matches!(&self.runtime, Some(w) if (w.workers, w.shards) == (workers, shards));
+        if !fits {
+            self.runtime = None;
+            self.runtime = Some(WarmRuntime {
+                workers,
+                shards,
+                rt: ShardedRuntime::new(workers, shards),
+            });
+            self.bump("runtime_starts", 1);
+        }
+        &self.runtime.as_ref().expect("started above").rt
+    }
+
     /// The live splice run (see the [module docs](self)): spawn every
-    /// invalidated task on the threaded runtime with a body that
-    /// computes its outputs from a shared content map seeded with the
-    /// memoized inputs of clean producers, then assert the concurrent
+    /// invalidated task on the program's runtime with a body that
+    /// computes its outputs into its slots, then assert the concurrent
     /// result equals the memoized plan.
     fn run_spliced_on_runtime(
-        &self,
-        plans: &[Plan],
-        partial: &LoweredProgram,
+        &mut self,
+        mut splice: Splice,
+        subs: Vec<Submission>,
         workers: usize,
         shards: usize,
     ) -> Vec<u64> {
-        // Seed the map with every input *not* produced within this
-        // partial stream — the splice of memoized contents.
-        let produced: HashSet<(ResourceId, Version)> = plans
-            .iter()
-            .flat_map(|p| p.writes.iter().copied())
-            .collect();
-        let mut seed: HashMap<(ResourceId, Version), u64> = HashMap::new();
-        for p in plans {
-            for &(r, v) in &p.reads {
-                if !produced.contains(&(r, v)) {
-                    seed.insert((r, v), self.content_of(r, v));
-                }
-            }
-        }
-        let map = Arc::new(Mutex::new(seed));
-        let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(plans.len())));
-        let rt = ShardedRuntime::new(workers, shards);
-        for (p, sub) in plans.iter().zip(partial.tasks.iter().cloned()) {
-            let (map, log) = (Arc::clone(&map), Arc::clone(&log));
-            let (key, fptr) = (p.key, p.fptr);
-            let reads = p.reads.clone();
-            let writes = p.writes.clone();
-            let names: Vec<String> = p
-                .writes
-                .iter()
-                .map(|&(r, _)| self.resource_name(r).to_string())
-                .collect();
-            rt.spawn_lowered(sub, move || {
-                let mut m = map.lock();
-                let inputs: Vec<u64> = reads
-                    .iter()
-                    .map(|rv| {
-                        *m.get(rv)
-                            .expect("input available: spliced or produced by a predecessor")
-                    })
-                    .collect();
-                for (&(r, v), name) in writes.iter().zip(&names) {
-                    m.insert((r, v), store::task_output(fptr, name, &inputs));
-                }
-                log.lock().push(key);
-            });
+        splice.slots = splice.writes.iter().map(|_| Slot::default()).collect();
+        splice.log = splice.tasks.iter().map(|_| AtomicU64::new(0)).collect();
+        let splice = Arc::new(splice);
+        let rt = self.warm_runtime(workers, shards);
+        for (i, sub) in subs.into_iter().enumerate() {
+            let live = Arc::clone(&splice);
+            rt.spawn_lowered(sub, move || live.execute(i));
         }
         rt.barrier();
-        let m = map.lock();
-        for p in plans {
-            let rec = self.store.record(p.key).expect("just memoized");
-            for &(r, v) in &p.writes {
+        debug_assert!(
+            rt.capacity_counts().iter().all(|c| c.resident == 0),
+            "a runtime kept across re-runs is quiescent after the barrier: no task resident on any shard"
+        );
+        for t in &splice.tasks {
+            let rec = self.store.record(t.key).expect("just memoized");
+            for s in t.outputs.clone() {
+                let (r, v, _) = splice.writes[s];
+                let slot = &splice.slots[s];
+                let live = slot
+                    .written
+                    .load(Ordering::Acquire)
+                    .then(|| slot.content.load(Ordering::Relaxed));
                 assert_eq!(
-                    m.get(&(r, v)).copied(),
+                    live,
                     rec.output(r),
                     "live spliced run diverged from the memoized plan at ({r:?}, v{v})"
                 );
             }
         }
-        drop(m);
-        let order = log.lock().clone();
-        order
+        splice.executed()
     }
 }
 
@@ -364,6 +467,7 @@ impl IncrementalProgram {
 mod tests {
     use super::*;
     use crate::program::{Access, Edit};
+    use nexuspp_core::Priority;
 
     fn add(key: u64, fptr: u64, accesses: Vec<Access>) -> Edit {
         Edit::AddTask {

@@ -20,8 +20,9 @@
 //!   (initial-contents changes, task add/remove/retarget; all-or-nothing
 //!   commit), then [`rerun`](IncrementalProgram::rerun) resubmits only
 //!   the invalidated cone to any [`Backend`] (batch engine, concurrent
-//!   dispatcher, or threaded runtime — where re-run bodies compute
-//!   contents live against spliced memoized inputs). Each run reports an
+//!   dispatcher, or threaded runtime — which the program keeps alive
+//!   across re-runs, and where re-run bodies compute contents live
+//!   against spliced memoized inputs). Each run reports an
 //!   [`IncrReport`] and can feed live counters into a
 //!   [`MetricsRegistry`](nexuspp_obs::MetricsRegistry).
 //!

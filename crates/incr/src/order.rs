@@ -24,7 +24,8 @@
 //! `order_maintenance_ops` so tests and experiments can *see* that
 //! edits stay local.
 
-use std::collections::{BTreeSet, HashMap};
+use crate::store::IntMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 
@@ -79,11 +80,11 @@ impl<K: fmt::Debug> std::error::Error for OrderError<K> {}
 #[derive(Debug, Clone, Default)]
 pub struct DynamicTopo<K> {
     /// Node → unique order index. Lower index = earlier in the order.
-    ord: HashMap<K, u64>,
+    ord: IntMap<K, u64>,
     /// Outgoing adjacency (edge from → {to}).
-    out: HashMap<K, BTreeSet<K>>,
+    out: IntMap<K, BTreeSet<K>>,
     /// Incoming adjacency (edge to → {from}).
-    inn: HashMap<K, BTreeSet<K>>,
+    inn: IntMap<K, BTreeSet<K>>,
     /// Next fresh order index for new nodes.
     next: u64,
     /// Cumulative order-maintenance work (see [`ops`](Self::ops)).
@@ -94,9 +95,9 @@ impl<K: Copy + Ord + Hash + fmt::Debug> DynamicTopo<K> {
     /// An empty order.
     pub fn new() -> Self {
         DynamicTopo {
-            ord: HashMap::new(),
-            out: HashMap::new(),
-            inn: HashMap::new(),
+            ord: IntMap::default(),
+            out: IntMap::default(),
+            inn: IntMap::default(),
             next: 0,
             ops: 0,
         }

@@ -53,8 +53,9 @@
 //! divergence from the bare frontend, where a never-mentioned name is an
 //! error).
 
+use crate::exec::WarmRuntime;
 use crate::order::{DynamicTopo, OrderError};
-use crate::store::{self, Store};
+use crate::store::{self, IntMap, IntSet, Store};
 use nexuspp_core::Priority;
 use nexuspp_frontend::{ResourceId, TaskDecl, Version};
 use nexuspp_obs::{CounterGroup, MetricsRegistry};
@@ -260,7 +261,7 @@ type StagedDecls = BTreeMap<u64, Option<DeclSpec>>;
 
 /// A structural batch, staged: everything its commit writes.
 struct Delta {
-    suffixes: HashMap<ResourceId, Suffix>,
+    suffixes: IntMap<ResourceId, Suffix>,
     /// key → new resolution of every re-bound declaration.
     rebound: BTreeMap<u64, TaskDecl>,
     removed_nodes: Vec<u64>,
@@ -275,7 +276,7 @@ struct Delta {
 /// rejected edit has nothing to undo.
 struct Staged<'a> {
     ip: &'a IncrementalProgram,
-    suffixes: HashMap<ResourceId, Suffix>,
+    suffixes: IntMap<ResourceId, Suffix>,
 }
 
 impl Staged<'_> {
@@ -381,16 +382,16 @@ pub struct IncrementalProgram {
     /// `interner`).
     pub(crate) timelines: Vec<Timeline>,
     /// key → current symbolic declaration.
-    pub(crate) decls: HashMap<u64, DeclSpec>,
+    pub(crate) decls: IntMap<u64, DeclSpec>,
     /// Sequence number the next `AddTask` receives.
     pub(crate) next_seq: u64,
     /// key → resolved declaration.
-    pub(crate) resolved: HashMap<u64, TaskDecl>,
+    pub(crate) resolved: IntMap<u64, TaskDecl>,
     /// (resource, version) → minting task key.
-    pub(crate) producers: HashMap<(ResourceId, Version), u64>,
+    pub(crate) producers: IntMap<(ResourceId, Version), u64>,
     /// (resource, version) → keys of the tasks whose resolved reads
     /// include it.
-    pub(crate) readers: HashMap<(ResourceId, Version), Vec<u64>>,
+    pub(crate) readers: IntMap<(ResourceId, Version), Vec<u64>>,
     /// The incrementally maintained topological order over task keys;
     /// its edges are exactly the current true-dependency edges.
     pub(crate) topo: DynamicTopo<u64>,
@@ -406,6 +407,12 @@ pub struct IncrementalProgram {
     pub(crate) ops_reported: u64,
     /// Declarations re-bound by committed edits since the last report.
     pub(crate) rebinds: u64,
+    /// The threaded runtime the last [`Backend::Runtime`] re-run used,
+    /// kept alive for the next one with the same shape (see
+    /// [`crate::exec`]); joined when the program drops.
+    ///
+    /// [`Backend::Runtime`]: crate::Backend::Runtime
+    pub(crate) runtime: Option<WarmRuntime>,
 }
 
 impl Default for IncrementalProgram {
@@ -415,9 +422,20 @@ impl Default for IncrementalProgram {
 }
 
 /// Counter names in the group [`register_metrics`] registers.
+/// `runtime_starts` counts the threaded runtimes the program started:
+/// one per change of [`Backend::Runtime`] shape, not one per re-run.
 ///
 /// [`register_metrics`]: IncrementalProgram::register_metrics
-pub const METRIC_NAMES: [&str; 6] = ["runs", "total", "dirtied", "reran", "reused", "order_ops"];
+/// [`Backend::Runtime`]: crate::Backend::Runtime
+pub const METRIC_NAMES: [&str; 7] = [
+    "runs",
+    "total",
+    "dirtied",
+    "reran",
+    "reused",
+    "order_ops",
+    "runtime_starts",
+];
 
 impl IncrementalProgram {
     /// An empty program with an empty memo store (so the first re-run
@@ -429,17 +447,18 @@ impl IncrementalProgram {
             name_hashes: Vec::new(),
             seeds: Vec::new(),
             timelines: Vec::new(),
-            decls: HashMap::new(),
+            decls: IntMap::default(),
             next_seq: 0,
-            resolved: HashMap::new(),
-            producers: HashMap::new(),
-            readers: HashMap::new(),
+            resolved: IntMap::default(),
+            producers: IntMap::default(),
+            readers: IntMap::default(),
             topo: DynamicTopo::new(),
             store: Store::new(),
             touched: BTreeSet::new(),
             metrics: None,
             ops_reported: 0,
             rebinds: 0,
+            runtime: None,
         }
     }
 
@@ -506,16 +525,29 @@ impl IncrementalProgram {
     /// the true-dependency edges — exactly the set the next
     /// [`rerun`](Self::rerun) will validate, in sorted key order.
     pub fn dirty_cone(&self) -> Vec<u64> {
-        let mut cone = self.touched.clone();
-        let mut stack: Vec<u64> = cone.iter().copied().collect();
+        let mut cone: Vec<u64> = self.cone_in_order().into_iter().map(|(_, k)| k).collect();
+        cone.sort_unstable();
+        cone
+    }
+
+    /// The dirty cone as `(order index, key)` pairs sorted by the
+    /// maintained order: the re-run's validation sequence. Each member's
+    /// order index is looked up once, during the walk.
+    pub(crate) fn cone_in_order(&self) -> Vec<(u64, u64)> {
+        let ord = |k: u64| self.topo.ord(k).expect("cone keys are declared tasks");
+        let mut seen: IntSet<u64> = self.touched.iter().copied().collect();
+        let mut cone: Vec<(u64, u64)> = self.touched.iter().map(|&k| (ord(k), k)).collect();
+        let mut stack: Vec<u64> = self.touched.iter().copied().collect();
         while let Some(k) = stack.pop() {
             for to in self.topo.successors(k) {
-                if cone.insert(to) {
+                if seen.insert(to) {
+                    cone.push((ord(to), to));
                     stack.push(to);
                 }
             }
         }
-        cone.into_iter().collect()
+        cone.sort_unstable();
+        cone
     }
 
     /// Drop every memo and dirty every task: the next re-run is a full
@@ -572,9 +604,20 @@ impl IncrementalProgram {
     /// order, which guarantees it).
     pub(crate) fn content_of(&self, r: ResourceId, v: Version) -> u64 {
         if v == 0 {
-            return store::initial_contents(&self.interner[r.0 as usize], self.seeds[r.0 as usize]);
+            return self.initial_content(r);
         }
-        let p = self.producers[&(r, v)];
+        self.memo_output(self.producers[&(r, v)], r)
+    }
+
+    /// The current initial contents (version 0) of `r`, from its cached
+    /// name hash.
+    pub(crate) fn initial_content(&self, r: ResourceId) -> u64 {
+        let i = r.0 as usize;
+        store::initial_contents_hashed(self.name_hashes[i], self.seeds[i])
+    }
+
+    /// The memoized content task `p` wrote to `r`.
+    pub(crate) fn memo_output(&self, p: u64, r: ResourceId) -> u64 {
         self.store
             .record(p)
             .expect("producer memoized before its consumers resolve")
@@ -622,7 +665,7 @@ impl IncrementalProgram {
         // A key's declaration as the batch so far leaves it.
         fn current<'a>(
             staged: &'a StagedDecls,
-            decls: &'a HashMap<u64, DeclSpec>,
+            decls: &'a IntMap<u64, DeclSpec>,
             key: u64,
         ) -> Option<&'a DeclSpec> {
             match staged.get(&key) {
@@ -905,10 +948,10 @@ impl IncrementalProgram {
 
     /// The rewritten writer-timeline suffix of every resource a staged
     /// batch starts or stops writing.
-    fn suffixes(&self, staged: &StagedDecls) -> HashMap<ResourceId, Suffix> {
+    fn suffixes(&self, staged: &StagedDecls) -> IntMap<ResourceId, Suffix> {
         // Per resource: `(seq, Some(key))` joins its timeline,
         // `(seq, None)` leaves it.
-        let mut changes: HashMap<ResourceId, Vec<(u64, Option<u64>)>> = HashMap::new();
+        let mut changes: IntMap<ResourceId, Vec<(u64, Option<u64>)>> = IntMap::default();
         let written = |d: &DeclSpec| -> BTreeSet<ResourceId> {
             d.written().map(|n| self.by_name[n]).collect()
         };

@@ -23,11 +23,21 @@
 //! [`fingerprint`]) are public: they are the *contract* between the
 //! incremental layer and the differential oracle, which shares the
 //! hashes but independently re-implements resolution, ordering, and
-//! invalidation.
+//! invalidation. The crate's re-run path uses their `_hashed` forms,
+//! which take the resource name's [`hash_bytes`] instead of the name:
+//! it keeps one name hash per resource and never re-hashes a string.
+//! The named forms are defined through them, so both give
+//! bit-identical values.
+//!
+//! The crate's own maps, keyed by task keys and `(resource, version)`
+//! pairs, hash with a fixed integer hasher (`IntHasher`): the keys come
+//! from the caller's own program, so a fast deterministic hash replaces
+//! the default DoS-resistant SipHash on the per-task re-run path.
 
 use nexuspp_core::Priority;
 use nexuspp_frontend::ResourceId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -61,7 +71,13 @@ pub fn hash_mix(h: u64, word: u64) -> u64 {
 /// function of its *name* and the current initial-contents `seed`
 /// (edited by `Edit::SetInitial`).
 pub fn initial_contents(name: &str, seed: u64) -> u64 {
-    hash_mix(hash_bytes(name.as_bytes()), seed)
+    initial_contents_hashed(hash_bytes(name.as_bytes()), seed)
+}
+
+/// [`initial_contents`] of the resource whose name hashes (by
+/// [`hash_bytes`]) to `name_hash`.
+pub(crate) fn initial_contents_hashed(name_hash: u64, seed: u64) -> u64 {
+    hash_mix(name_hash, seed)
 }
 
 /// The simulated content a task writes to resource `name`: a pure
@@ -70,11 +86,17 @@ pub fn initial_contents(name: &str, seed: u64) -> u64 {
 /// function of the task key — re-keying or re-tagging a task does not
 /// change what it computes.
 pub fn task_output(fptr: u64, name: &str, inputs: &[u64]) -> u64 {
-    let mut h = hash_mix(hash_bytes(name.as_bytes()), fptr);
-    for &i in inputs {
-        h = hash_mix(h, i);
-    }
-    h
+    task_output_hashed(fptr, hash_bytes(name.as_bytes()), inputs.iter().copied())
+}
+
+/// [`task_output`] for the resource whose name hashes (by
+/// [`hash_bytes`]) to `name_hash`, over inputs in declaration order.
+pub(crate) fn task_output_hashed(
+    fptr: u64,
+    name_hash: u64,
+    inputs: impl IntoIterator<Item = u64>,
+) -> u64 {
+    inputs.into_iter().fold(hash_mix(name_hash, fptr), hash_mix)
 }
 
 /// The validation fingerprint of one task execution: hashes the
@@ -100,6 +122,61 @@ pub fn fingerprint(
     }
     h
 }
+
+/// A fixed multiply-rotate hasher for the crate's integer-keyed maps
+/// (task keys, `(ResourceId, Version)` pairs): a couple of
+/// instructions per word where SipHash spends dozens. Deterministic and
+/// not collision-resistant against chosen keys — the keys are the
+/// caller's own program, never untrusted input.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IntHasher(u64);
+
+/// Odd multiplier with well-spread bits (the golden-ratio constant).
+const INT_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl IntHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(INT_MUL);
+    }
+}
+
+impl Hasher for IntHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits; fold the
+        // well-mixed high bits down into them.
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+/// A `HashMap` hashed by [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+/// A `HashSet` hashed by [`IntHasher`].
+pub(crate) type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// One task's memo: the fingerprint it last validated or ran under and
 /// the contents it produced, keyed by the written resource's id.
@@ -131,7 +208,7 @@ impl TaskRecord {
 /// the store commit happens on the caller's thread).
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    records: HashMap<u64, TaskRecord>,
+    records: IntMap<u64, TaskRecord>,
 }
 
 impl Store {
@@ -148,6 +225,23 @@ impl Store {
     /// Insert or replace the record for `key`.
     pub fn put(&mut self, key: u64, record: TaskRecord) {
         self.records.insert(key, record);
+    }
+
+    /// Replace the record for `key` in place, reusing its outputs
+    /// buffer: the re-run path's refresh of an invalidated task.
+    pub(crate) fn refresh(
+        &mut self,
+        key: u64,
+        fingerprint: u64,
+        outputs: impl IntoIterator<Item = (ResourceId, u64)>,
+    ) {
+        let rec = self.records.entry(key).or_insert_with(|| TaskRecord {
+            fingerprint,
+            outputs: Vec::new(),
+        });
+        rec.fingerprint = fingerprint;
+        rec.outputs.clear();
+        rec.outputs.extend(outputs);
     }
 
     /// Drop the record for `key` (the task was removed or must re-run
@@ -191,6 +285,39 @@ mod tests {
         assert_ne!(a, task_output(0x11, "out", &[1, 2]));
         assert_ne!(a, task_output(0x10, "out", &[2, 1]), "input order matters");
         assert_ne!(a, task_output(0x10, "out2", &[1, 2]));
+    }
+
+    #[test]
+    fn hashed_forms_equal_the_named_primitives() {
+        for name in ["", "a", "grid", "cell/0123456789abcdef"] {
+            let h = hash_bytes(name.as_bytes());
+            for seed in [0, 1, u64::MAX] {
+                assert_eq!(
+                    initial_contents(name, seed),
+                    initial_contents_hashed(h, seed)
+                );
+            }
+            for inputs in [&[][..], &[7], &[1, 2, 3]] {
+                assert_eq!(
+                    task_output(0x10, name, inputs),
+                    task_output_hashed(0x10, h, inputs.iter().copied())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn int_maps_key_tasks_and_versions() {
+        let mut m: IntMap<(ResourceId, u32), u64> = IntMap::default();
+        for r in 0..64u32 {
+            for v in 0..64u32 {
+                m.insert((ResourceId(r), v), u64::from(r * 64 + v));
+            }
+        }
+        assert_eq!(m.len(), 64 * 64);
+        assert_eq!(m[&(ResourceId(3), 5)], 3 * 64 + 5);
+        let s: IntSet<u64> = (0..1000).map(|k| k * 4096).collect();
+        assert!(s.contains(&4096) && !s.contains(&4097));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! End-to-end tests of the threaded runtime: real closures, real data,
 //! dependency semantics equal to sequential execution.
 
+use nexuspp_core::testsupport::wait_until;
 use nexuspp_desim::Rng;
 use nexuspp_runtime::Runtime;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn chain_of_transformations() {
@@ -311,23 +313,38 @@ fn high_priority_overtakes_queued_tasks() {
 
 #[test]
 fn wait_on_does_not_wait_for_readers() {
-    // `wait on` blocks on producers, not on slow concurrent readers.
+    // `wait on` blocks on producers, not on slow concurrent readers:
+    // the reader below cannot finish until the test releases it, and
+    // the test releases it only after `wait_on` has returned. Waiting
+    // on the reader would stall until its (long) receive timeout, and
+    // the reader would then report that it never saw the release.
     let rt = Runtime::new(4);
     let x = rt.region(vec![7u64]);
     let started = Arc::new(AtomicU64::new(0));
+    let released = Arc::new(AtomicBool::new(false));
+    let (release, hold) = crossbeam::channel::bounded::<()>(1);
     {
-        let (x2, s2) = (x.clone(), Arc::clone(&started));
+        let (x2, s2, r2) = (x.clone(), Arc::clone(&started), Arc::clone(&released));
         rt.task().input(&x).spawn(move |t| {
-            s2.fetch_add(1, Ordering::SeqCst);
             let _v = t.read(&x2)[0];
-            std::thread::sleep(std::time::Duration::from_millis(30));
+            s2.fetch_add(1, Ordering::SeqCst);
+            let got = hold.recv_timeout(Duration::from_secs(30));
+            r2.store(got.is_ok(), Ordering::SeqCst);
         });
     }
-    let t0 = std::time::Instant::now();
-    rt.wait_on(&x); // no outstanding writer → returns quickly
+    // The reader holds its grant on a worker, so `wait_on` cannot run
+    // it inline while helping.
+    wait_until(Duration::from_secs(10), "the reader to start", || {
+        started.load(Ordering::SeqCst) == 1
+    });
+    // No outstanding writer: returns while the reader runs.
+    rt.wait_on(&x);
+    // A reader that already gave up has dropped its end of the channel;
+    // the assertion below then reports it.
+    let _ = release.send(());
+    rt.barrier();
     assert!(
-        t0.elapsed() < std::time::Duration::from_millis(25),
+        released.load(Ordering::SeqCst),
         "wait_on must not block on the slow reader"
     );
-    rt.barrier();
 }
