@@ -1557,6 +1557,10 @@ pub fn observe(opts: &ExpOptions) -> Experiment {
         });
     }
     rt.barrier();
+    // Join the workers before reading either side: an idle worker's park
+    // event could otherwise land between the counter snapshot and the
+    // drain.
+    rt.shutdown();
     let sched = rt.sched_counts();
     let wake = rt.wake_counts();
     let snap = rt.metrics().snapshot();

@@ -10,6 +10,28 @@
 //! (against the oracle resolver) and shared between the simulator and this
 //! runtime.
 //!
+//! ## One shell, two resolvers
+//!
+//! The paper's bottleneck is the per-task dependency resolution a master
+//! core performs, so that is the only step the two runtimes do
+//! differently. Everything around it — workers and the ready-task
+//! scheduler, pending/quiescent accounting, panic capture, hard-deadline
+//! abort, the task builder, `wait_on`, `barrier`, `shutdown`, and the
+//! `tasks`/`sched`/`events` metrics — is one [`Shell`], generic over a
+//! sealed [`Resolver`]:
+//!
+//! - [`Runtime`] = `Shell<`[`SingleEngine`]`>`: one growable engine
+//!   behind one mutex, the software re-creation of the centralized Task
+//!   Maestro (see [`runtime`]).
+//! - [`ShardedRuntime`] = `Shell<`[`ShardedDispatch`]`>`: resolution
+//!   partitioned across N engines behind per-shard locks, with lock-free
+//!   wake delivery and optional per-shard capacity bounds (see
+//!   [`sharded`]). It adds the `wake`/`capacity` metric groups and the
+//!   shard accessors.
+//!
+//! The shell is monomorphized per resolver, so neither runtime pays for
+//! dynamic dispatch on the per-task path.
+//!
 //! ```
 //! use nexuspp_runtime::Runtime;
 //!
@@ -32,27 +54,25 @@
 //! rt.barrier(); // like `#pragma css barrier`
 //! assert_eq!(rt.with_data(&b, |v| v.to_vec()), vec![2u64; 8]);
 //! ```
-
 //!
-//! For many workers, [`ShardedRuntime`] offers the same API with
-//! dependency resolution partitioned across N engines behind per-shard
-//! locks (see [`sharded`]), removing the single global engine lock from
-//! every task completion.
-//!
-//! Both backends hand ready tasks to their workers through the
+//! Both runtimes hand ready tasks to their workers through the
 //! `nexuspp-sched` scheduling layer: per-worker work-stealing deques by
 //! default, with the previous global mutex queue selectable via
 //! [`SchedulerKind`] (`Runtime::with_scheduler` /
 //! `ShardedRuntime::with_scheduler`) for differential comparison.
 
+#![deny(missing_docs)]
+
 pub mod region;
 pub mod runtime;
 pub mod sharded;
+mod shell;
 pub mod stress;
 
 pub use nexuspp_core::ShardCapacity;
 pub use nexuspp_sched::{SchedCounts, SchedulerKind};
 pub use nexuspp_shard::{CapacityCounts, WakeCounts, WakeMode};
 pub use region::{Region, RegionId};
-pub use runtime::{Runtime, ShutdownReport, TaskBuilder, TaskCtx};
-pub use sharded::{PendingSpawn, ShardedRuntime, ShardedTaskBuilder};
+pub use runtime::{Runtime, SingleEngine, TaskBuilder};
+pub use sharded::{ShardedDispatch, ShardedRuntime, ShardedTaskBuilder};
+pub use shell::{PendingSpawn, Resolver, Shell, ShellTaskBuilder, ShutdownReport, TaskCtx};

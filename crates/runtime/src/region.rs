@@ -2,8 +2,8 @@
 //!
 //! A [`Region<T>`] owns a typed buffer and a unique address used by the
 //! dependency engine exactly like a StarSs parameter's base address. Tasks
-//! obtain references through [`read`](crate::runtime::TaskCtx::read) /
-//! [`write`](crate::runtime::TaskCtx::write) guards that verify — at run
+//! obtain references through [`read`](crate::TaskCtx::read) /
+//! [`write`](crate::TaskCtx::write) guards that verify — at run
 //! time — that the running task actually declared that access, and — in
 //! all builds — that the dependency engine never granted conflicting
 //! access (a shared reader count / exclusive writer flag per region).

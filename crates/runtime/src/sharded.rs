@@ -1,4 +1,4 @@
-//! The sharded runtime: the same StarSs-like API as
+//! The sharded runtime: the same [`Shell`] as
 //! [`Runtime`](crate::Runtime), with dependency resolution partitioned
 //! over N engines behind per-shard locks.
 //!
@@ -15,15 +15,6 @@
 //! the sharded composition is differentially verified against it and the
 //! oracle in `nexuspp-shard`.
 //!
-//! Ready tasks flow through the same [`nexuspp_sched::Scheduler`] as the
-//! single-engine runtime (work-stealing by default, the mutex queue
-//! selectable for comparison). A finish report's wakes — which may
-//! include tasks drained on behalf of other workers — are delivered as
-//! **one** batched scheduling operation: under the mutex queue that is
-//! one lock acquisition and one `Wake(n)` token instead of a queue-lock +
-//! channel-send per wake; under work stealing the whole burst lands on
-//! the finishing worker's own deque and idle workers steal it back out.
-//!
 //! Between the shards and the scheduler sits the dispatcher's wake path
 //! (see [`WakeMode`]): under the default lock-free mode a worker never
 //! holds a shard lock across wake delivery — ready tasks post to
@@ -31,147 +22,102 @@
 //! drains whatever lists it can claim (its own wakes, plus any a
 //! concurrent finisher posted and skipped) straight into `wake_batch`.
 
-use crate::region::{Region, RegionId};
-use crate::runtime::{sched_counters, Grants, Job, ShutdownReport, TaskCtx};
-use crossbeam::channel::{RecvTimeoutError, TryRecvError};
-use nexuspp_core::{NexusConfig, Priority, ShardCapacity, Submission, SubmitError};
-use nexuspp_obs::{EventKind, MetricsRegistry, Recorder};
-use nexuspp_sched::{SchedCounts, Scheduler, SchedulerKind, WorkerHandle};
+use crate::shell::{PendingSpawn, Ready, Rejected, Resolve, Shell, ShellTaskBuilder, Work};
+use nexuspp_core::{NexusConfig, Priority, ShardCapacity};
+use nexuspp_obs::{MetricsRegistry, Recorder};
+use nexuspp_sched::SchedulerKind;
 use nexuspp_shard::{CapacityCounts, ShardDispatcher, TaskTicket, WakeCounts, WakeMode};
-use nexuspp_trace::normalize::normalize_params;
-use nexuspp_trace::{AccessMode, Param};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use nexuspp_trace::Param;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Payload delivered when a task becomes ready.
-struct Work {
-    grants: Grants,
-    job: Job,
-    prio: Priority,
-}
-
-/// A scheduled unit: the dispatcher ticket plus the work to run.
-type Ready = (TaskTicket<Work>, Work);
-
-/// A submission rejected by
-/// [`try_spawn_lowered`](ShardedRuntime::try_spawn_lowered), handed
-/// back intact (closure included) for resubmission once the retryable
-/// condition clears. Opaque: the closure cannot be recovered, only
-/// resubmitted via [`try_respawn`](ShardedRuntime::try_respawn).
-pub struct PendingSpawn {
-    fptr: u64,
-    tag: u64,
-    params: Vec<Param>,
-    work: Work,
-}
-
-impl PendingSpawn {
-    /// The caller tag of the rejected submission.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-}
-
-struct Inner {
-    dispatcher: ShardDispatcher<Work>,
-    sched: Scheduler<Ready>,
-    /// Tag counter; atomic so submissions don't serialize on a lock.
-    submitted: AtomicU64,
-    /// Tasks spawned and not yet fully retired. This lock pairs with the
-    /// `quiescent` condvar, so it cannot be an atomic.
-    pending: Mutex<u64>,
-    quiescent: Condvar,
-    /// First task panic observed (re-raised at the next barrier).
-    panicked: Mutex<Option<String>>,
-    /// Hard-deadline shutdown flag: once set, ready tasks cancel-finish
-    /// (their bodies are dropped unexecuted but they still retire
-    /// through the dispatcher, so the graph drains and `pending`
-    /// reaches zero).
-    aborting: AtomicBool,
-    /// Tasks whose bodies ran (including panicking ones).
-    executed: AtomicU64,
-    /// Tasks cancel-finished by a hard-deadline shutdown.
-    cancelled: AtomicU64,
-    /// Lifecycle-event recorder for the exec phase; the dispatcher holds
-    /// its own clone for the resolution/wake phases. `None` when the
-    /// runtime was built without one.
-    obs: Option<Arc<Recorder>>,
-}
-
-/// Declarative task builder for the sharded runtime (same surface as
-/// [`TaskBuilder`](crate::TaskBuilder)).
-pub struct ShardedTaskBuilder<'rt> {
-    rt: &'rt ShardedRuntime,
-    accesses: Vec<(RegionId, AccessMode)>,
-    high_priority: bool,
-}
-
-impl<'rt> ShardedTaskBuilder<'rt> {
-    /// Declare a read-only parameter.
-    pub fn input<T>(mut self, r: &Region<T>) -> Self {
-        self.accesses.push((r.id(), AccessMode::In));
-        self
-    }
-
-    /// Declare a write-only parameter.
-    pub fn output<T>(mut self, r: &Region<T>) -> Self {
-        self.accesses.push((r.id(), AccessMode::Out));
-        self
-    }
-
-    /// Declare a read-write parameter.
-    pub fn inout<T>(mut self, r: &Region<T>) -> Self {
-        self.accesses.push((r.id(), AccessMode::InOut));
-        self
-    }
-
-    /// Mark the task high priority: once ready, it overtakes queued
-    /// normal-priority tasks.
-    pub fn high_priority(mut self) -> Self {
-        self.high_priority = true;
-        self
-    }
-
-    /// Submit the task. It runs as soon as its dependencies allow. Under
-    /// a bounded [`ShardCapacity`] this blocks while any involved shard
-    /// is full, resuming on that shard's next finish report.
-    pub fn spawn(self, f: impl FnOnce(&TaskCtx) + Send + 'static) {
-        let params: Vec<Param> = self
-            .accesses
-            .iter()
-            .map(|(id, m)| Param::new(id.0, 1, *m))
-            .collect();
-        let params = normalize_params(&params);
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let inner = &self.rt.inner;
-        {
-            let mut p = inner.pending.lock();
-            *p += 1;
-        }
-        let tag = inner.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        let prio = Priority::from_high_flag(self.high_priority);
-        let work = Work {
-            grants,
-            job: Box::new(f),
-            prio,
-        };
-        let res = inner.dispatcher.submit(0, tag, &params, work);
-        if let Some(work) = res.ready {
-            inner.sched.submit((res.ticket, work), prio);
-        }
-        // A parked task's ticket resurfaces in some FinishReport::woken.
-    }
-}
 
 /// The StarSs-like runtime over sharded, per-shard-locked resolution.
-pub struct ShardedRuntime {
-    inner: Arc<Inner>,
-    /// Behind a mutex so [`shutdown`](Self::shutdown) can join through
-    /// `&self` (services share the runtime in an `Arc`).
-    workers: Mutex<Vec<JoinHandle<()>>>,
+pub type ShardedRuntime = Shell<ShardedDispatch>;
+
+/// Declarative task builder for [`ShardedRuntime`].
+pub type ShardedTaskBuilder<'rt> = ShellTaskBuilder<'rt, ShardedDispatch>;
+
+/// The sharded [`Resolver`](crate::Resolver): a [`ShardDispatcher`]
+/// that stamps its own resolution and wake events (with real shard ids).
+pub struct ShardedDispatch {
+    dispatcher: ShardDispatcher<Work>,
+}
+
+impl Resolve for ShardedDispatch {
+    type Ticket = TaskTicket<Work>;
+    const WORKER_NAME: &'static str = "nexuspp-shard-worker";
+
+    fn tag(ticket: &Self::Ticket) -> u64 {
+        ticket.tag()
+    }
+
+    fn submit(&self, fptr: u64, tag: u64, params: Vec<Param>, work: Work) -> Option<Ready<Self>> {
+        let res = self.dispatcher.submit(fptr, tag, &params, work);
+        res.ready.map(|work| (res.ticket, work))
+    }
+
+    fn try_submit(&self, p: PendingSpawn) -> Result<Option<Ready<Self>>, Rejected> {
+        match self.dispatcher.try_submit(p.fptr, p.tag, &p.params, p.work) {
+            Ok(res) => Ok(res.ready.map(|work| (res.ticket, work))),
+            Err((e, work)) => Err((e, PendingSpawn { work, ..p })),
+        }
+    }
+
+    fn finish(&self, ticket: Self::Ticket) -> (Vec<(Ready<Self>, Priority)>, u64) {
+        // Only the shards this task touched are locked (for table access;
+        // wake delivery runs outside the locks under WakeMode::LockFree),
+        // and the report may carry wakes and completions drained on
+        // behalf of other workers.
+        let report = self.dispatcher.finish(ticket);
+        let woken = report
+            .woken
+            .into_iter()
+            .map(|(ticket, work)| {
+                let prio = work.prio;
+                ((ticket, work), prio)
+            })
+            .collect();
+        (woken, report.completed)
+    }
+
+    fn register_metrics<S: Send + Sync + 'static>(
+        reg: &MetricsRegistry,
+        owner: &Arc<S>,
+        get: fn(&S) -> &Self,
+    ) {
+        let o = Arc::clone(owner);
+        reg.register("wake", move || {
+            let w = get(&o).dispatcher.wake_counts();
+            vec![
+                ("delivered".into(), w.delivered),
+                ("deliveries".into(), w.deliveries),
+                ("delivery_ns".into(), w.delivery_ns),
+                (
+                    "delivery_lock_acquisitions".into(),
+                    w.delivery_lock_acquisitions,
+                ),
+            ]
+        });
+        let o = Arc::clone(owner);
+        reg.register("capacity", move || {
+            let per_shard = get(&o).dispatcher.capacity_counts();
+            let mut stalls = 0;
+            let mut retries = 0;
+            let mut stall_ns = 0;
+            let mut resident = 0u64;
+            for c in &per_shard {
+                stalls += c.stalls_observed;
+                retries += c.retries_resolved;
+                stall_ns += c.stall_ns;
+                resident += c.resident as u64;
+            }
+            vec![
+                ("stalls_observed".into(), stalls),
+                ("retries_resolved".into(), retries),
+                ("stall_ns".into(), stall_ns),
+                ("resident".into(), resident),
+            ]
+        });
+    }
 }
 
 impl ShardedRuntime {
@@ -220,7 +166,7 @@ impl ShardedRuntime {
         capacity: ShardCapacity,
         wake_mode: WakeMode,
     ) -> Self {
-        ShardedRuntime::build(n, shards, kind, capacity, wake_mode, None)
+        Shell::build(n, kind, None, dispatch(shards, capacity, wake_mode))
     }
 
     /// Start a runtime (every knob explicit) that records lifecycle
@@ -237,7 +183,7 @@ impl ShardedRuntime {
         wake_mode: WakeMode,
         rec: Arc<Recorder>,
     ) -> Self {
-        ShardedRuntime::build(n, shards, kind, capacity, wake_mode, Some(rec))
+        Shell::build(n, kind, Some(rec), dispatch(shards, capacity, wake_mode))
     }
 
     /// Start a runtime (every knob explicit) observed *online* by
@@ -259,87 +205,29 @@ impl ShardedRuntime {
         wake_mode: WakeMode,
         collector: &nexuspp_obs::Collector,
     ) -> Self {
-        let rt = ShardedRuntime::build(
-            n,
-            shards,
-            kind,
-            capacity,
-            wake_mode,
-            Some(collector.recorder()),
-        );
-        collector.attach_registry(Arc::new(rt.metrics()));
-        rt
-    }
-
-    fn build(
-        n: usize,
-        shards: usize,
-        kind: SchedulerKind,
-        capacity: ShardCapacity,
-        wake_mode: WakeMode,
-        obs: Option<Arc<Recorder>>,
-    ) -> Self {
-        // n == 0 is allowed: no worker threads are spawned and every
-        // task executes inside a scheduler-aware waiter (`wait_on`).
-        let (mut sched, handles) = Scheduler::new(kind, n);
-        let mut dispatcher =
-            ShardDispatcher::with_mode(shards, &NexusConfig::unbounded(), capacity, wake_mode);
-        if let Some(rec) = &obs {
-            sched.set_recorder(Arc::clone(rec), |r: &Ready| r.0.tag());
-            dispatcher = dispatcher.with_recorder(Arc::clone(rec));
-        }
-        let inner = Arc::new(Inner {
-            dispatcher,
-            sched,
-            submitted: AtomicU64::new(0),
-            pending: Mutex::new(0),
-            quiescent: Condvar::new(),
-            panicked: Mutex::new(None),
-            aborting: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            obs,
-        });
-        let workers = handles
-            .into_iter()
-            .map(|h| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("nexuspp-shard-worker-{}", h.id()))
-                    .spawn(move || worker_loop(&inner, &h))
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        ShardedRuntime {
-            inner,
-            workers: Mutex::new(workers),
-        }
+        ShardedRuntime::with_recorder(n, shards, kind, capacity, wake_mode, collector.recorder())
+            .observed(collector)
     }
 
     /// Number of shards resolution is partitioned over.
     pub fn n_shards(&self) -> usize {
-        self.inner.dispatcher.n_shards()
+        self.resolver().dispatcher.n_shards()
     }
 
     /// The per-shard residency bound this runtime submits under.
     pub fn capacity(&self) -> ShardCapacity {
-        self.inner.dispatcher.capacity()
+        self.resolver().dispatcher.capacity()
     }
 
     /// Per-shard stall/retry counters (exact once quiescent — call after
     /// [`barrier`](Self::barrier)).
     pub fn capacity_counts(&self) -> Vec<CapacityCounts> {
-        self.inner.dispatcher.capacity_counts()
-    }
-
-    /// Which ready-task scheduler this runtime drives.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.inner.sched.kind()
+        self.resolver().dispatcher.capacity_counts()
     }
 
     /// How this runtime's workers deliver wakes out of the shards.
     pub fn wake_mode(&self) -> WakeMode {
-        self.inner.dispatcher.wake_mode()
+        self.resolver().dispatcher.wake_mode()
     }
 
     /// Wake-path activity counters — records delivered, drain attempts,
@@ -347,428 +235,25 @@ impl ShardedRuntime {
     /// performed (zero under [`WakeMode::LockFree`]). Exact once
     /// quiescent — call after [`barrier`](Self::barrier).
     pub fn wake_counts(&self) -> WakeCounts {
-        self.inner.dispatcher.wake_counts()
-    }
-
-    /// Scheduler activity counters (steals, parks, …; exact once
-    /// quiescent — call after [`barrier`](Self::barrier)).
-    pub fn sched_counts(&self) -> SchedCounts {
-        self.inner.sched.counts()
-    }
-
-    /// The lifecycle-event recorder this runtime stamps into, if built
-    /// with [`with_recorder`](Self::with_recorder).
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.inner.obs.as_ref()
-    }
-
-    /// Build a [`MetricsRegistry`] over every counter surface this
-    /// runtime exposes: task accounting (`tasks`), scheduler activity
-    /// (`sched`), wake-path counters (`wake`), capacity stall/retry
-    /// totals including parked time (`capacity`), and — when a recorder
-    /// is attached — event-ring accounting (`events`). Snapshots are
-    /// exact at quiescence.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let reg = MetricsRegistry::new();
-        let inner = Arc::clone(&self.inner);
-        reg.register("tasks", move || {
-            vec![
-                ("submitted".into(), inner.submitted.load(Ordering::Relaxed)),
-                ("pending".into(), *inner.pending.lock()),
-                ("executed".into(), inner.executed.load(Ordering::Relaxed)),
-                ("cancelled".into(), inner.cancelled.load(Ordering::Relaxed)),
-            ]
-        });
-        let inner = Arc::clone(&self.inner);
-        reg.register("sched", move || sched_counters(&inner.sched.counts()));
-        let inner = Arc::clone(&self.inner);
-        reg.register("wake", move || {
-            let w = inner.dispatcher.wake_counts();
-            vec![
-                ("delivered".into(), w.delivered),
-                ("deliveries".into(), w.deliveries),
-                ("delivery_ns".into(), w.delivery_ns),
-                (
-                    "delivery_lock_acquisitions".into(),
-                    w.delivery_lock_acquisitions,
-                ),
-            ]
-        });
-        let inner = Arc::clone(&self.inner);
-        reg.register("capacity", move || {
-            let per_shard = inner.dispatcher.capacity_counts();
-            let mut stalls = 0;
-            let mut retries = 0;
-            let mut stall_ns = 0;
-            let mut resident = 0u64;
-            for c in &per_shard {
-                stalls += c.stalls_observed;
-                retries += c.retries_resolved;
-                stall_ns += c.stall_ns;
-                resident += c.resident as u64;
-            }
-            vec![
-                ("stalls_observed".into(), stalls),
-                ("retries_resolved".into(), retries),
-                ("stall_ns".into(), stall_ns),
-                ("resident".into(), resident),
-            ]
-        });
-        if let Some(rec) = &self.inner.obs {
-            let rec = Arc::clone(rec);
-            reg.register("events", move || {
-                vec![
-                    ("recorded".into(), rec.recorded()),
-                    ("dropped".into(), rec.dropped()),
-                ]
-            });
-        }
-        reg
-    }
-
-    /// Allocate a data region managed by this runtime.
-    pub fn region<T>(&self, data: Vec<T>) -> Region<T> {
-        Region::new(data)
-    }
-
-    /// Begin declaring a task.
-    pub fn task(&self) -> ShardedTaskBuilder<'_> {
-        ShardedTaskBuilder {
-            rt: self,
-            accesses: Vec::new(),
-            high_priority: false,
-        }
-    }
-
-    /// Submit a pre-addressed task — a [`Submission`] whose parameter
-    /// addresses were already assigned, typically by the resource-
-    /// versioning frontend's lowering — and run `f` when its declared
-    /// dependencies allow. No [`Region`]s are involved: the addresses
-    /// *are* the dependence-table keys, so `f` receives no data context.
-    /// Capacity semantics match [`spawn`](ShardedTaskBuilder::spawn)
-    /// (bounded shards block the submitter until a slot frees).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the submission fails validation (duplicate parameter
-    /// addresses) — [`TaskBuilder`](nexuspp_core::TaskBuilder)-built
-    /// submissions are always valid.
-    pub fn spawn_lowered(&self, sub: Submission, f: impl FnOnce() + Send + 'static) {
-        sub.validate().expect("invalid lowered submission");
-        let prio = sub.priority;
-        let (fptr, tag, params) = sub.into_parts();
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let inner = &self.inner;
-        {
-            let mut p = inner.pending.lock();
-            *p += 1;
-        }
-        inner.submitted.fetch_add(1, Ordering::Relaxed);
-        let work = Work {
-            grants,
-            job: Box::new(move |_ctx| f()),
-            prio,
-        };
-        let res = inner.dispatcher.submit(fptr, tag, &params, work);
-        if let Some(work) = res.ready {
-            inner.sched.submit((res.ticket, work), prio);
-        }
-    }
-
-    /// Non-blocking form of [`spawn_lowered`](Self::spawn_lowered): a
-    /// submission whose shards are at their [`ShardCapacity`] bound is
-    /// handed back as a [`PendingSpawn`] with a retryable
-    /// [`SubmitError`] instead of parking the submitting thread — the
-    /// backpressure primitive service ingress layers signal to remote
-    /// clients. Resubmit the returned [`PendingSpawn`] with
-    /// [`try_respawn`](Self::try_respawn) after a finish frees slots.
-    /// Validation failures (duplicate addresses) surface the same way
-    /// with a non-retryable error.
-    pub fn try_spawn_lowered(
-        &self,
-        sub: Submission,
-        f: impl FnOnce() + Send + 'static,
-    ) -> Result<(), (SubmitError, PendingSpawn)> {
-        let prio = sub.priority;
-        let (fptr, tag, params) = sub.into_parts();
-        let grants: Grants = Arc::new(params.iter().map(|p| (RegionId(p.addr), p.mode)).collect());
-        let work = Work {
-            grants,
-            job: Box::new(move |_ctx| f()),
-            prio,
-        };
-        self.try_submit_work(PendingSpawn {
-            fptr,
-            tag,
-            params,
-            work,
-        })
-    }
-
-    /// Resubmit a spawn previously rejected by
-    /// [`try_spawn_lowered`](Self::try_spawn_lowered).
-    pub fn try_respawn(&self, p: PendingSpawn) -> Result<(), (SubmitError, PendingSpawn)> {
-        self.try_submit_work(p)
-    }
-
-    fn try_submit_work(&self, p: PendingSpawn) -> Result<(), (SubmitError, PendingSpawn)> {
-        let PendingSpawn {
-            fptr,
-            tag,
-            params,
-            work,
-        } = p;
-        let prio = work.prio;
-        let inner = &self.inner;
-        {
-            let mut pending = inner.pending.lock();
-            *pending += 1;
-        }
-        match inner.dispatcher.try_submit(fptr, tag, &params, work) {
-            Ok(res) => {
-                inner.submitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(work) = res.ready {
-                    inner.sched.submit((res.ticket, work), prio);
-                }
-                Ok(())
-            }
-            Err((e, work)) => {
-                // Roll the optimistic pending increment back; a barrier
-                // waiting concurrently must not count a rejected task.
-                let mut pending = inner.pending.lock();
-                *pending -= 1;
-                if *pending == 0 {
-                    inner.quiescent.notify_all();
-                }
-                drop(pending);
-                Err((
-                    e,
-                    PendingSpawn {
-                        fptr,
-                        tag,
-                        params,
-                        work,
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Block until every producer of `region` submitted so far has
-    /// finished (see [`Runtime::wait_on`](crate::Runtime::wait_on)).
-    ///
-    /// The waiter is scheduler-aware: instead of blocking on a channel
-    /// (starving the pool of one thread), it pops/steals ready tasks
-    /// and executes them until its probe completes — a graph completes
-    /// even at `workers == 0` with a single waiter. If the runtime is
-    /// torn down (hard-deadline shutdown cancels the probe), the wait
-    /// returns cleanly instead of panicking.
-    pub fn wait_on<T>(&self, region: &Region<T>) {
-        let (tx, rx) = crossbeam::channel::bounded::<()>(1);
-        self.task().input(region).high_priority().spawn(move |_| {
-            let _ = tx.send(());
-        });
-        loop {
-            match rx.try_recv() {
-                Ok(()) => return,
-                // Probe dropped unexecuted: the runtime is aborting; its
-                // producers will never run, so there is nothing to wait
-                // for.
-                Err(TryRecvError::Disconnected) => return,
-                Err(TryRecvError::Empty) => {}
-            }
-            // Help: run one ready task (any task — policy order) rather
-            // than sleeping on the probe.
-            if let Some((ticket, work)) = self.inner.sched.try_next_external() {
-                execute_ready(&self.inner, ticket, work, None);
-            } else {
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                    Err(RecvTimeoutError::Timeout) => {}
-                }
-            }
-        }
-    }
-
-    /// Graceful explicit shutdown: drain every in-flight task (running
-    /// bodies finish, queued tasks execute), then stop and join the
-    /// workers. Equivalent to `drop` but hands back a
-    /// [`ShutdownReport`] and is callable through a shared reference
-    /// (`Arc<ShardedRuntime>` in service deployments). Does not
-    /// re-raise task panics. Submitting after shutdown is a caller
-    /// error (tasks would queue forever).
-    pub fn shutdown(&self) -> ShutdownReport {
-        self.shutdown_inner(None)
-    }
-
-    /// Shutdown with a hard deadline: wait up to `deadline` for a
-    /// graceful drain; past it, flip the abort flag so every
-    /// still-queued task **cancel-finishes** — its body is dropped
-    /// unexecuted, but it still retires through the dispatcher, so
-    /// dependents drain (cascading the cancellation) and quiescence is
-    /// reached. Bodies already running are never interrupted; the join
-    /// still waits for them.
-    pub fn shutdown_deadline(&self, deadline: Duration) -> ShutdownReport {
-        self.shutdown_inner(Some(deadline))
-    }
-
-    fn shutdown_inner(&self, deadline: Option<Duration>) -> ShutdownReport {
-        let mut graceful = true;
-        {
-            let mut p = self.inner.pending.lock();
-            match deadline {
-                None => {
-                    while *p > 0 {
-                        self.inner.quiescent.wait(&mut p);
-                    }
-                }
-                Some(d) => {
-                    let start = Instant::now();
-                    while *p > 0 {
-                        match d.checked_sub(start.elapsed()) {
-                            Some(left) if !left.is_zero() => {
-                                let _ = self.inner.quiescent.wait_for(&mut p, left);
-                            }
-                            _ => {
-                                graceful = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !graceful {
-            self.inner.aborting.store(true, Ordering::SeqCst);
-            // Every queued task now cancel-finishes; wait out the
-            // remaining (already-running) bodies.
-            let mut p = self.inner.pending.lock();
-            while *p > 0 {
-                self.inner.quiescent.wait(&mut p);
-            }
-        }
-        self.inner.sched.shutdown();
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for w in handles {
-            let _ = w.join();
-        }
-        ShutdownReport {
-            graceful,
-            executed: self.inner.executed.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Wait until every submitted task has finished. Re-raises the first
-    /// task panic observed since the last barrier.
-    pub fn barrier(&self) {
-        let mut p = self.inner.pending.lock();
-        while *p > 0 {
-            self.inner.quiescent.wait(&mut p);
-        }
-        drop(p);
-        if let Some(msg) = self.inner.panicked.lock().take() {
-            panic!("task panicked: {msg}");
-        }
-    }
-
-    /// Synchronously inspect a region's data (reach quiescence first via
-    /// [`barrier`](Self::barrier)).
-    pub fn with_data<T, R>(&self, region: &Region<T>, f: impl FnOnce(&[T]) -> R) -> R {
-        let guard = region.begin_read();
-        f(&guard)
-    }
-
-    /// Number of tasks submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.inner.submitted.load(Ordering::Relaxed)
+        self.resolver().dispatcher.wake_counts()
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, h: &WorkerHandle<Ready>) {
-    Recorder::set_thread_worker(h.id() as u32);
-    while let Some((ticket, work)) = inner.sched.next(h) {
-        execute_ready(inner, ticket, work, Some(h));
-    }
-}
-
-/// Run (or, when aborting, cancel) one ready unit and retire it. Shared
-/// by the worker loop and scheduler-aware waiters (`h == None` — wakes
-/// then go through the external scheduling path).
-fn execute_ready(
-    inner: &Arc<Inner>,
-    ticket: TaskTicket<Work>,
-    work: Work,
-    h: Option<&WorkerHandle<Ready>>,
-) {
-    if inner.aborting.load(Ordering::SeqCst) {
-        // Hard-deadline shutdown: drop the body unexecuted (releasing
-        // its captures — e.g. a wait_on probe's sender, which is how
-        // parked waiters learn the runtime is gone) but still retire the
-        // task below so the graph drains.
-        drop(work.job);
-        inner.cancelled.fetch_add(1, Ordering::Relaxed);
-    } else {
-        let ctx = TaskCtx::from_grants(work.grants);
-        if let Some(r) = &inner.obs {
-            r.emit(EventKind::ExecStart, ticket.tag(), nexuspp_obs::NO_SHARD);
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (work.job)(&ctx)));
-        if let Err(payload) = result {
-            inner
-                .panicked
-                .lock()
-                .get_or_insert(crate::runtime::panic_msg(&*payload));
-        }
-        if let Some(r) = &inner.obs {
-            r.emit(EventKind::ExecDone, ticket.tag(), nexuspp_obs::NO_SHARD);
-        }
-        inner.executed.fetch_add(1, Ordering::Relaxed);
-    }
-    // Retire through the sharded dispatcher: only the shards this
-    // task touched are locked (for table access; wake delivery runs
-    // outside the locks under WakeMode::LockFree), and the report may
-    // carry wakes and completions drained on behalf of other workers.
-    // The whole wake set is delivered as one batched scheduling
-    // operation.
-    let report = inner.dispatcher.finish(ticket);
-    let completed = report.completed;
-    let woken: Vec<(Ready, Priority)> = report
-        .woken
-        .into_iter()
-        .map(|(ticket, work)| {
-            let prio = work.prio;
-            ((ticket, work), prio)
-        })
-        .collect();
-    match h {
-        Some(h) => inner.sched.wake_batch(h, woken),
-        None => inner.sched.wake_batch_external(woken),
-    }
-    if completed > 0 {
-        let mut p = inner.pending.lock();
-        *p -= completed;
-        if *p == 0 {
-            inner.quiescent.notify_all();
-        }
-    }
-}
-
-impl Drop for ShardedRuntime {
-    fn drop(&mut self) {
-        // Drain in-flight work (without re-raising task panics — Drop
-        // must not panic), then stop every worker and join it. A no-op
-        // beyond the scheduler flag if an explicit shutdown already ran.
-        {
-            let mut p = self.inner.pending.lock();
-            while *p > 0 {
-                self.inner.quiescent.wait(&mut p);
-            }
-        }
-        self.inner.sched.shutdown();
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for w in handles {
-            let _ = w.join();
+/// The resolver maker for [`Shell::build`]: a dispatcher over `shards`
+/// engines that records into the runtime's recorder, if it has one.
+fn dispatch(
+    shards: usize,
+    capacity: ShardCapacity,
+    wake_mode: WakeMode,
+) -> impl FnOnce(Option<&Arc<Recorder>>) -> ShardedDispatch {
+    move |obs| {
+        let dispatcher =
+            ShardDispatcher::with_mode(shards, &NexusConfig::unbounded(), capacity, wake_mode);
+        ShardedDispatch {
+            dispatcher: match obs {
+                Some(rec) => dispatcher.with_recorder(Arc::clone(rec)),
+                None => dispatcher,
+            },
         }
     }
 }

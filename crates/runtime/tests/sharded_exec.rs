@@ -3,7 +3,7 @@
 //! Dataflow results must be schedule-independent, so every test asserts
 //! exact values no matter how shards interleave.
 
-use nexuspp_runtime::{Runtime, ShardedRuntime};
+use nexuspp_runtime::{Resolver, Runtime, ShardedRuntime, Shell};
 
 #[test]
 fn two_stage_pipeline_produces_exact_result() {
@@ -159,7 +159,11 @@ fn matches_single_engine_runtime_results() {
 
 #[test]
 fn panic_in_task_is_reraised_at_barrier() {
-    let rt = ShardedRuntime::new(2, 2);
+    panic_reraised_at_barrier(Runtime::new(2));
+    panic_reraised_at_barrier(ShardedRuntime::new(2, 2));
+}
+
+fn panic_reraised_at_barrier<R: Resolver>(rt: Shell<R>) {
     let r = rt.region(vec![0u64]);
     {
         let r = r.clone();

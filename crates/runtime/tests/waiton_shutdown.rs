@@ -15,7 +15,7 @@
 //! bodies exactly once (executed + cancelled == submitted).
 
 use nexuspp_core::testsupport::with_watchdog;
-use nexuspp_runtime::{Runtime, SchedulerKind, ShardedRuntime};
+use nexuspp_runtime::{Resolver, Runtime, SchedulerKind, ShardedRuntime, Shell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -176,49 +176,57 @@ fn graceful_shutdown_reports_everything_executed() {
 
 #[test]
 fn sharded_hard_deadline_splits_executed_and_cancelled_exactly_once() {
-    with_watchdog(60, "sharded deadline split", || {
-        let rt = ShardedRuntime::new(1, 4);
-        let region = rt.region(vec![0u64]);
-        let gate = Arc::new(AtomicBool::new(false));
-        let ran = Arc::new(AtomicU64::new(0));
-        // One gated head task, then a chain behind it. Everything behind
-        // the head is queued or parked when the deadline fires.
-        {
-            let r = region.clone();
-            let gate = Arc::clone(&gate);
-            let ran = Arc::clone(&ran);
-            rt.task().inout(&region).spawn(move |t| {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                t.write(&r)[0] += 1;
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        for _ in 0..15 {
-            let r = region.clone();
-            let ran = Arc::clone(&ran);
-            rt.task().inout(&region).spawn(move |t| {
-                t.write(&r)[0] += 1;
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let release = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(80));
-                gate.store(true, Ordering::SeqCst);
-            })
-        };
-        let report = rt.shutdown_deadline(Duration::from_millis(20));
-        release.join().unwrap();
-        assert!(!report.graceful);
-        assert_eq!(
-            report.executed + report.cancelled,
-            16,
-            "every submitted task retires exactly once"
-        );
-        assert_eq!(report.executed, ran.load(Ordering::SeqCst));
-        assert!(report.cancelled >= 1, "the queued chain was cancelled");
+    with_watchdog(60, "single-engine deadline split", || {
+        hard_deadline_split(Runtime::new(1));
     });
+    with_watchdog(60, "sharded deadline split", || {
+        hard_deadline_split(ShardedRuntime::new(1, 4));
+    });
+}
+
+/// One gated head task and a 15-task chain behind it on a one-worker
+/// runtime, shut down with a deadline that fires while the head blocks.
+fn hard_deadline_split<R: Resolver>(rt: Shell<R>) {
+    let region = rt.region(vec![0u64]);
+    let gate = Arc::new(AtomicBool::new(false));
+    let ran = Arc::new(AtomicU64::new(0));
+    // One gated head task, then a chain behind it. Everything behind
+    // the head is queued or parked when the deadline fires.
+    {
+        let r = region.clone();
+        let gate = Arc::clone(&gate);
+        let ran = Arc::clone(&ran);
+        rt.task().inout(&region).spawn(move |t| {
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            t.write(&r)[0] += 1;
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    for _ in 0..15 {
+        let r = region.clone();
+        let ran = Arc::clone(&ran);
+        rt.task().inout(&region).spawn(move |t| {
+            t.write(&r)[0] += 1;
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    let release = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(80));
+            gate.store(true, Ordering::SeqCst);
+        })
+    };
+    let report = rt.shutdown_deadline(Duration::from_millis(20));
+    release.join().unwrap();
+    assert!(!report.graceful);
+    assert_eq!(
+        report.executed + report.cancelled,
+        16,
+        "every submitted task retires exactly once"
+    );
+    assert_eq!(report.executed, ran.load(Ordering::SeqCst));
+    assert!(report.cancelled >= 1, "the queued chain was cancelled");
 }
